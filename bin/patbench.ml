@@ -793,17 +793,6 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "runtime-events" ] ~doc)
   in
-  let memprof_arg =
-    let doc =
-      "Start the Gc.Memprof sampling allocation profiler: sampled \
-       allocations are attributed to the operation/stage region being \
-       executed and exported as patserve_alloc_* metric families plus the \
-       /debug/allocs top-sites dump.  If the runtime does not support \
-       memprof (OCaml 5.0-5.2 multicore), the server logs a warning, \
-       exports patserve_alloc_up 0 and keeps serving."
-    in
-    Arg.(value & flag & info [ "memprof" ] ~doc)
-  in
   let max_conns_arg =
     let doc =
       "Admission control: accept at most $(docv) simultaneous connections \
@@ -902,7 +891,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "repl-sync" ] ~doc)
   in
   let run port range domains metrics_port seconds data_dir durability
-      checkpoint_s trace_out runtime_events memprof max_conns idle_timeout_s
+      checkpoint_s trace_out runtime_events max_conns idle_timeout_s
       queue_deadline_ms soft_buffer_kb hard_buffer_kb follow bootstrap
       staleness repl_sync =
     (* Anti-entropy hash tree width: enough prefix bits to cover the
@@ -1246,22 +1235,6 @@ let serve_cmd =
               m;
             None
     in
-    let memprof_t =
-      if not memprof then None
-      else
-        match Obs.Memprof.start () with
-        | Ok mp ->
-            Format.printf "patserve: memprof allocation profiler attached@.";
-            Some mp
-        | Error m ->
-            (* Same contract as runtime-events: degraded observability
-               beats a dead server; patserve_alloc_up stays 0. *)
-            Format.printf
-              "patserve: warning: memprof unavailable (%s), continuing \
-               without allocation profiling@."
-              m;
-            None
-    in
     let wd = Obs.Watchdog.create () in
     Obs.Watchdog.gauge wd ~name:"wal-queue" ~degraded_above:10_000
       ~stalled_above:100_000 Persist.Metrics.queue_depth;
@@ -1302,10 +1275,8 @@ let serve_cmd =
           if runtime <> None then
             Harness.Live.add_extra_producer Obs.Runtime.emit;
           (* Structure forensics: the shape census (pat_shape_*; an O(n)
-             read-only walk per scrape), the descent-depth histogram
-             when the trie records stats, and the allocation-profiler
-             families (patserve_alloc_up 0 when memprof is off or
-             unsupported). *)
+             read-only walk per scrape) and the descent-depth histogram
+             when the trie records stats. *)
           Harness.Live.add_extra_producer (fun b ->
               match Core.Patricia.census (get_trie ()) with
               | Some c -> Obs.Shape.emit b c
@@ -1316,7 +1287,6 @@ let serve_cmd =
                   Obs.Prometheus.histogram_summary b ~name:"pat_descent_depth"
                     ~help:"Nodes visited per search (descent depth)" s
               | None -> ());
-          Harness.Live.add_extra_producer Obs.Memprof.emit;
           let routes =
             [
               ( "/debug/slowlog",
@@ -1331,10 +1301,6 @@ let serve_cmd =
                     | Some c -> Obs.Json.to_string (Obs.Shape.to_json c)
                     | None -> "null")
                     ^ "\n" ) );
-              ( "/debug/allocs",
-                fun () ->
-                  ( "application/json",
-                    Obs.Json.to_string (Obs.Memprof.sites_json ()) ^ "\n" ) );
             ]
           in
           let s =
@@ -1370,7 +1336,6 @@ let serve_cmd =
     teardown ();
     Obs.Watchdog.stop_monitor wd;
     Option.iter Obs.Runtime.stop runtime;
-    Option.iter Obs.Memprof.stop memprof_t;
     (* Write the trace only after the runtime collector's final drain so
        the last GC spans make it into the file. *)
     Obs.Trace.set_recorder None;
@@ -1407,7 +1372,7 @@ let serve_cmd =
     Term.(
       const run $ port_arg $ range_arg $ domains_arg $ metrics_port_arg
       $ seconds_opt_arg $ data_dir_arg $ durability_arg $ checkpoint_s_arg
-      $ serve_trace_arg $ runtime_events_arg $ memprof_arg $ max_conns_arg
+      $ serve_trace_arg $ runtime_events_arg $ max_conns_arg
       $ idle_timeout_arg $ queue_deadline_arg $ soft_buffer_arg
       $ hard_buffer_arg $ follow_arg $ bootstrap_arg $ staleness_arg
       $ repl_sync_arg)

@@ -1,449 +1,56 @@
 (* Non-blocking Patricia trie over variable-length keys — the extension
-   described in the paper's conclusion (Section VI).
-
-   Same algorithm as {!Patricia} (flag descriptors, helping, one help
-   routine for all updates, atomic replace), but keys and labels are
-   {!Bitkey.Bitstr} bit strings of unbounded length instead of l-bit
-   machine integers.  Keys are stored under the 0->01 / 1->10 / $->11
-   encoding, which makes distinct keys mutually prefix-free and bounds
-   them strictly between the sentinel leaves 00 and 111.
+   described in the paper's conclusion (Section VI): {!Patricia_gen.Make}
+   instantiated with {!Bitkey.Bitstr} keys and labels of unbounded
+   length.  Keys are stored under the 0->01 / 1->10 / $->11 encoding,
+   which makes distinct keys mutually prefix-free and bounds them
+   strictly between the sentinel leaves 00 and 111.
 
    As the paper notes, with unbounded keys searches remain non-blocking
    (they terminate: the trie's height at any moment is bounded by the
    longest key currently stored) but are no longer wait-free, since
-   concurrent insertions of ever-longer keys can extend a search path.
-
-   Snapshots use the same generation-stamped-holder design as
-   {!Patricia} (see the [Snapshots] section there for the full
-   correctness argument): the root sits behind a holder, every update
-   descriptor validates the holder at a single decision CAS, updates
-   renew stale internals on descent, and [snapshot] swings the holder
-   to a copied root in O(1) of the key count. *)
+   concurrent insertions of ever-longer keys can extend a search path. *)
 
 module B = Bitkey.Bitstr
 
-type info = Unflag of unit ref | Flag of flag | Snap of snap
+module Bitstr_label = struct
+  type key = B.t
+  type label = B.t
+  type ctx = unit
 
-and node = Leaf of leaf | Internal of internal
+  let leaf_label () k = k
+  let next_bit_of_key () l k = B.next_bit l k
+  let is_prefix_of_key () l k = B.is_proper_prefix l k
+  let next_bit = B.next_bit
+  let lcp = B.lcp
+  let is_prefix = B.is_prefix
+  let compare = B.compare
+  let extend = B.extend
+  let length = B.length
+  let empty = B.empty
+  let pp = B.pp
+  let sentinel_lo () = B.sentinel_lo
+  let sentinel_hi () = B.sentinel_hi
+  let is_sentinel () k = B.equal k B.sentinel_lo || B.equal k B.sentinel_hi
+  let key_equal = B.equal
 
-and leaf = { key : B.t; linfo : info Atomic.t }
+  (* A stable per-key tag for the trace, not a reversible encoding. *)
+  let trace_key = Hashtbl.hash
 
-and internal = {
-  label : B.t;
-  children : node Atomic.t array;
-  iinfo : info Atomic.t;
-  gen : unit ref; (* generation stamp, as in {!Patricia} *)
-}
+  (* A {!Bitkey.Bitstr.t} record (3 words) plus its backing string block
+     (header + padded data words). *)
+  let label_words b =
+    let bytes = (B.length b + 7) / 8 in
+    3 + 1 + ((bytes + 8) / 8)
 
-and holder = { epoch : int; hgen : unit ref; hroot : internal }
+  let key_words = label_words
+end
 
-and decision = Pending | Commit | Abort
+module G = Patricia_gen.Make (Bitstr_label)
 
-and flag = {
-  flag_nodes : internal array;
-  old_infos : info array;
-  unflag_nodes : internal array;
-  pnodes : internal array;
-  old_children : node array;
-  new_children : node array;
-  rmv_leaf : leaf option;
-  decision : decision Atomic.t;
-  fholder : holder;
-  fcell : holder Atomic.t;
-}
-
-and snap = { s_old : holder; s_new : holder; s_cell : holder Atomic.t }
-
-(* Descent-cost accounting, the [Patricia.stats] subset that makes
-   sense here (the contention counters stay PAT-only; the descriptor
-   carries no stats field).  Striped like every hot-path counter. *)
-type stats = {
-  descent_find : Obs.Counter.t;
-  descent_insert : Obs.Counter.t;
-  descent_delete : Obs.Counter.t;
-  descent_replace : Obs.Counter.t;
-  descent_searches : Obs.Counter.t;
-  descent_depth : Obs.Histogram.t;
-}
-
-type t = {
-  holder : holder Atomic.t;
-  slots : info option Atomic.t list Atomic.t;
-  slot_key : info option Atomic.t option ref Domain.DLS.key;
-  stats : stats option;
-}
-
-let make_stats () =
-  {
-    descent_find = Obs.Counter.create ();
-    descent_insert = Obs.Counter.create ();
-    descent_delete = Obs.Counter.create ();
-    descent_replace = Obs.Counter.create ();
-    descent_searches = Obs.Counter.create ();
-    descent_depth = Obs.Histogram.create ();
-  }
-
-(* Disabled cost: one branch, as for [Patricia.bump]. *)
-let[@inline] descent (stats : stats option) (field : stats -> Obs.Counter.t) d =
-  match stats with
-  | None -> ()
-  | Some s ->
-      Obs.Counter.add (field s) d;
-      Obs.Counter.incr s.descent_searches;
-      Obs.Histogram.record s.descent_depth d
-
-let fresh_unflag () = Unflag (ref ())
-let new_leaf key = { key; linfo = Atomic.make (fresh_unflag ()) }
-
-(* The calling domain's published-descriptor slot for [t] (see
-   {!Patricia.my_slot}): an update publishes its descriptor here before
-   flagging and clears it after completion, so a snapshot can resolve
-   every descriptor that might still commit against the frozen
-   generation. *)
-let my_slot t =
-  let r = Domain.DLS.get t.slot_key in
-  match !r with
-  | Some s -> s
-  | None ->
-      let s = Atomic.make None in
-      let rec push () =
-        let l = Atomic.get t.slots in
-        if not (Atomic.compare_and_set t.slots l (s :: l)) then push ()
-      in
-      push ();
-      r := Some s;
-      s
-
-(* Fault-injection sites and retry backoff, as in {!Patricia}: one
-   atomic load and an untaken branch per site unless a chaos policy or
-   the contention backoff is enabled. *)
-let[@inline] chaos_point (s : Chaos.site) =
-  if Atomic.get Chaos.active then Chaos.hit s
-
-let[@inline] retry_pause bo =
-  chaos_point Chaos.Retry;
-  if Chaos.Backoff.enabled () then Chaos.Backoff.wait bo else bo
-
-(* Flight recorder (lib/obs), as in {!Patricia}: one closed span per
-   update attempt into the global trace recorder plus per-cause retry
-   attribution, each site costing one atomic load and an untaken branch
-   while disabled.  Bit-string keys are folded to an int with
-   [Hashtbl.hash] for the trace's [key] field — a stable per-key tag,
-   not a reversible encoding. *)
-let[@inline] span_start () =
-  if Atomic.get Obs.Trace.active then Obs.Clock.now_ns () else 0
-
-let span_emit kind ~key ~ok ~attempt ~site ~t0 =
-  match Obs.Trace.recorder () with
-  | Some tr ->
-      Obs.Trace.emit_span tr kind ~key:(Hashtbl.hash key) ~ok
-        ~retries:(attempt - 1) ~attempt ~site ~t0_ns:t0
-  | None -> ()
-
-let[@inline] attempt_done kind ~key ~attempt ~t0 ~site ok =
-  if t0 <> 0 then span_emit kind ~key ~ok ~attempt ~site ~t0;
-  Obs.Attribution.op_complete ();
-  ok
-
-let[@inline] attempt_retry kind ~key ~attempt ~t0 cause =
-  Obs.Attribution.mark cause ~attempt;
-  if t0 <> 0 then
-    span_emit kind ~key ~ok:false ~attempt
-      ~site:(Obs.Attribution.cause_name cause)
-      ~t0
-
-let[@inline] flagged = function
-  | Flag _ | Snap _ -> true
-  | Unflag _ -> false
-
-let[@inline] retry_cause2 a b =
-  if flagged a || flagged b then Obs.Attribution.Flagged_ancestor
-  else Obs.Attribution.Conflict
-
-let node_info = function Leaf l -> l.linfo | Internal i -> i.iinfo
-let node_label = function Leaf l -> l.key | Internal i -> i.label
+type t = G.t
 
 let name = "PAT-VLK"
-
-let create ?(record_stats = false) () =
-  let gen = ref () in
-  let root =
-    {
-      label = B.empty;
-      children =
-        [|
-          Atomic.make (Leaf (new_leaf B.sentinel_lo));
-          Atomic.make (Leaf (new_leaf B.sentinel_hi));
-        |];
-      iinfo = Atomic.make (fresh_unflag ());
-      gen;
-    }
-  in
-  {
-    holder = Atomic.make { epoch = 0; hgen = gen; hroot = root };
-    slots = Atomic.make [];
-    slot_key = Domain.DLS.new_key (fun () -> ref None);
-    stats = (if record_stats then Some (make_stats ()) else None);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Search *)
-
-let logically_removed = function
-  | Unflag _ | Snap _ -> false
-  | Flag f ->
-      let p = f.pnodes.(0) and old = f.old_children.(0) in
-      not
-        (Atomic.get p.children.(0) == old || Atomic.get p.children.(1) == old)
-
-type search_result = {
-  gp : internal option;
-  p : internal;
-  p_node : node;
-  node : node;
-  gp_info : info option;
-  p_info : info;
-  rmvd : bool;
-  depth : int;
-      (** child pointers followed from the root to reach [node]
-          (the root's direct child is depth 1) *)
-}
-
-let search_from (root : internal) v =
-  let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node = Atomic.get p.children.(B.next_bit p.label v) in
-    match node with
-    | Internal i when B.is_proper_prefix i.label v ->
-        go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
-    | _ ->
-        let rmvd =
-          match node with
-          | Leaf l -> logically_removed (Atomic.get l.linfo)
-          | Internal _ -> false
-        in
-        { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
-  in
-  go None None root (Internal root) (Atomic.get root.iinfo) 0
-
-let search t v = search_from (Atomic.get t.holder).hroot v
-
-let key_in_trie node v rmvd =
-  match node with Leaf l -> B.equal l.key v && not rmvd | Internal _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* help / newFlag / createNode — identical in structure to Patricia *)
-
-let flag_phase fi f =
-  let n = Array.length f.flag_nodes in
-  let rec loop i =
-    if i >= n then true
-    else begin
-      let x = f.flag_nodes.(i) in
-      chaos_point Chaos.Flag_cas;
-      ignore (Atomic.compare_and_set x.iinfo f.old_infos.(i) fi);
-      if Atomic.get x.iinfo == fi then loop (i + 1) else false
-    end
-  in
-  loop 0
-
-(* Complete an in-flight snapshot: swing the holder (idempotent) and
-   release the old root's info field. *)
-let help_snap (si : info) (s : snap) =
-  ignore (Atomic.compare_and_set s.s_cell s.s_old s.s_new);
-  ignore (Atomic.compare_and_set s.s_old.hroot.iinfo si (fresh_unflag ()))
-
-let child_cas_phase f =
-  Array.iteri
-    (fun i p ->
-      let nc = f.new_children.(i) in
-      let k = B.next_bit p.label (node_label nc) in
-      chaos_point Chaos.Child_cas;
-      if not (Atomic.compare_and_set p.children.(k) f.old_children.(i) nc) then
-        Obs.Attribution.mark Obs.Attribution.Child_cas_lost ~attempt:0;
-      chaos_point Chaos.After_child_cas)
-    f.pnodes
-
-let rec help (fi : info) : bool =
-  match fi with
-  | Unflag _ -> assert false
-  | Snap s ->
-      help_snap fi s;
-      true
-  | Flag f -> help_flag fi f
-
-and help_flag (fi : info) (f : flag) : bool =
-  let do_child_cas = flag_phase fi f in
-  (* The decision CAS: commit only if every flag landed *and* the
-     owning trie's holder is still the generation this attempt searched
-     — see {!Patricia.help_flag}. *)
-  (if Atomic.get f.decision = Pending then
-     let d =
-       if do_child_cas && Atomic.get f.fcell == f.fholder then Commit
-       else Abort
-     in
-     ignore (Atomic.compare_and_set f.decision Pending d));
-  match Atomic.get f.decision with
-  | Commit ->
-      (match f.rmv_leaf with Some l -> Atomic.set l.linfo fi | None -> ());
-      child_cas_phase f;
-      chaos_point Chaos.Unflag;
-      for i = Array.length f.unflag_nodes - 1 downto 0 do
-        ignore
-          (Atomic.compare_and_set f.unflag_nodes.(i).iinfo fi (fresh_unflag ()))
-      done;
-      true
-  | Abort ->
-      chaos_point Chaos.Backtrack;
-      Obs.Attribution.mark Obs.Attribution.Backtrack ~attempt:0;
-      for i = Array.length f.flag_nodes - 1 downto 0 do
-        ignore
-          (Atomic.compare_and_set f.flag_nodes.(i).iinfo fi (fresh_unflag ()))
-      done;
-      false
-  | Pending -> assert false
-
-and new_flag ~fh ~cell ~flags ~unflag ~pnodes ~old_children ~new_children
-    ~rmv_leaf =
-  match
-    List.find_opt
-      (fun (_, i) -> match i with Flag _ | Snap _ -> true | _ -> false)
-      flags
-  with
-  | Some (_, old) ->
-      ignore (help old);
-      None
-  | None -> (
-      let rec dedup acc = function
-        | [] -> Some (List.rev acc)
-        | (n, i) :: rest -> (
-            match List.find_opt (fun (n', _) -> n' == n) acc with
-            | Some (_, i') -> if i' == i then dedup acc rest else None
-            | None -> dedup ((n, i) :: acc) rest)
-      in
-      match dedup [] flags with
-      | None -> None
-      | Some flags ->
-          let flags =
-            List.sort
-              (fun ((a : internal), _) (b, _) -> B.compare a.label b.label)
-              flags
-          in
-          let dedup_nodes l =
-            List.fold_left
-              (fun acc n ->
-                if List.exists (fun n' -> n' == n) acc then acc else n :: acc)
-              [] l
-            |> List.rev
-          in
-          Some
-            (Flag
-               {
-                 flag_nodes = Array.of_list (List.map fst flags);
-                 old_infos = Array.of_list (List.map snd flags);
-                 unflag_nodes = Array.of_list (dedup_nodes unflag);
-                 pnodes = Array.of_list pnodes;
-                 old_children = Array.of_list old_children;
-                 new_children = Array.of_list new_children;
-                 rmv_leaf;
-                 decision = Atomic.make Pending;
-                 fholder = fh;
-                 fcell = cell;
-               }))
-
-and create_node ~gen n1 n2 info =
-  let l1 = node_label n1 and l2 = node_label n2 in
-  if B.is_prefix l1 l2 || B.is_prefix l2 l1 then begin
-    (match info with
-    | Some ((Flag _ | Snap _) as fi) -> ignore (help fi)
-    | _ -> ());
-    None
-  end
-  else
-    let lcp = B.lcp l1 l2 in
-    let d1 = B.next_bit lcp l1 in
-    let c0, c1 = if d1 = 0 then (n1, n2) else (n2, n1) in
-    Some
-      {
-        label = lcp;
-        children = [| Atomic.make c0; Atomic.make c1 |];
-        iinfo = Atomic.make (fresh_unflag ());
-        gen;
-      }
-
-let copy_node ~gen = function
-  | Leaf l -> Leaf (new_leaf l.key)
-  | Internal i ->
-      Internal
-        {
-          label = i.label;
-          children =
-            [|
-              Atomic.make (Atomic.get i.children.(0));
-              Atomic.make (Atomic.get i.children.(1));
-            |];
-          iinfo = Atomic.make (fresh_unflag ());
-          gen;
-        }
-
-(* Publication wrapper and copy-on-descent renewal — the update-side
-   snapshot machinery, as in {!Patricia.run_own} / [search_renew]. *)
-
-let run_own t fi =
-  let slot = my_slot t in
-  Atomic.set slot (Some fi);
-  let r = help fi in
-  Atomic.set slot None;
-  r
-
-let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
-  match Atomic.get i.iinfo with
-  | (Flag _ | Snap _) as fi -> ignore (help fi)
-  | Unflag _ as ii -> (
-      let copy =
-        Internal
-          {
-            label = i.label;
-            children =
-              [|
-                Atomic.make (Atomic.get i.children.(0));
-                Atomic.make (Atomic.get i.children.(1));
-              |];
-            iinfo = Atomic.make (fresh_unflag ());
-            gen = h.hgen;
-          }
-      in
-      match
-        new_flag ~fh:h ~cell:t.holder
-          ~flags:[ (p, p_info); (i, ii) ]
-          ~unflag:[ p ] ~pnodes:[ p ] ~old_children:[ c_boxed ]
-          ~new_children:[ copy ] ~rmv_leaf:None
-      with
-      | Some fi -> ignore (run_own t fi)
-      | None -> ())
-
-(* [None]: the descent hit a stale-generation internal and (at most)
-   renewed it; the caller restarts from a fresh holder read. *)
-let search_renew t (h : holder) v =
-  let rec go gp gp_info (p : internal) p_boxed p_info d =
-    let node = Atomic.get p.children.(B.next_bit p.label v) in
-    match node with
-    | Internal i when B.is_proper_prefix i.label v ->
-        if i.gen == h.hgen then
-          go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
-        else begin
-          renew_child t h p p_info node i;
-          None
-        end
-    | _ ->
-        let rmvd =
-          match node with
-          | Leaf l -> logically_removed (Atomic.get l.linfo)
-          | Internal _ -> false
-        in
-        Some
-          { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
-  in
-  go None None h.hroot (Internal h.hroot) (Atomic.get h.hroot.iinfo) 0
+let create ?(record_stats = false) () = G.create () ~record_stats
 
 (* ------------------------------------------------------------------ *)
 (* Operations over raw encoded keys *)
@@ -458,273 +65,20 @@ let check_key v =
 
 let member_key t v =
   check_key v;
-  let r = search t v in
-  descent t.stats (fun s -> s.descent_find) r.depth;
-  key_in_trie r.node v r.rmvd
-
-let sibling_index (p : internal) v = 1 - B.next_bit p.label v
+  G.member t v
 
 let insert_key t v =
   check_key v;
-  let rec attempt bo n =
-    let t0 = span_start () in
-    let h = Atomic.get t.holder in
-    match search_renew t h v with
-    | None ->
-        attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
-          Obs.Attribution.Conflict;
-        attempt (retry_pause bo) (n + 1)
-    | Some r ->
-        descent t.stats (fun s -> s.descent_insert) r.depth;
-        if key_in_trie r.node v r.rmvd then
-          attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0 ~site:"present"
-            false
-        else begin
-          let node_info_v = Atomic.get (node_info r.node) in
-          let node_copy = copy_node ~gen:h.hgen r.node in
-          match
-            create_node ~gen:h.hgen node_copy (Leaf (new_leaf v))
-              (Some node_info_v)
-          with
-          | None ->
-              attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                (if flagged node_info_v then Obs.Attribution.Flagged_ancestor
-                 else Obs.Attribution.Conflict);
-              attempt (retry_pause bo) (n + 1)
-          | Some new_node -> (
-              let fi =
-                match r.node with
-                | Internal i ->
-                    new_flag ~fh:h ~cell:t.holder
-                      ~flags:[ (r.p, r.p_info); (i, node_info_v) ]
-                      ~unflag:[ r.p ] ~pnodes:[ r.p ] ~old_children:[ r.node ]
-                      ~new_children:[ Internal new_node ] ~rmv_leaf:None
-                | Leaf _ ->
-                    new_flag ~fh:h ~cell:t.holder
-                      ~flags:[ (r.p, r.p_info) ]
-                      ~unflag:[ r.p ] ~pnodes:[ r.p ] ~old_children:[ r.node ]
-                      ~new_children:[ Internal new_node ] ~rmv_leaf:None
-              in
-              match fi with
-              | Some fi when run_own t fi ->
-                  attempt_done Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                    ~site:"applied" true
-              | Some _ ->
-                  attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                    Obs.Attribution.Flag_cas_lost;
-                  attempt (retry_pause bo) (n + 1)
-              | None ->
-                  attempt_retry Obs.Trace.Insert ~key:v ~attempt:n ~t0
-                    (retry_cause2 r.p_info node_info_v);
-                  attempt (retry_pause bo) (n + 1))
-        end
-  in
-  attempt Chaos.Backoff.init 1
+  G.insert t v
 
 let delete_key t v =
   check_key v;
-  let rec attempt bo n =
-    let t0 = span_start () in
-    let h = Atomic.get t.holder in
-    match search_renew t h v with
-    | None ->
-        attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
-          Obs.Attribution.Conflict;
-        attempt (retry_pause bo) (n + 1)
-    | Some r ->
-        descent t.stats (fun s -> s.descent_delete) r.depth;
-        if not (key_in_trie r.node v r.rmvd) then
-          attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0 ~site:"absent"
-            false
-        else begin
-          let node_sibling = Atomic.get r.p.children.(sibling_index r.p v) in
-          match (r.gp, r.gp_info) with
-          | Some gp, Some gp_info -> (
-              match
-                new_flag ~fh:h ~cell:t.holder
-                  ~flags:[ (gp, gp_info); (r.p, r.p_info) ]
-                  ~unflag:[ gp ] ~pnodes:[ gp ] ~old_children:[ r.p_node ]
-                  ~new_children:[ node_sibling ] ~rmv_leaf:None
-              with
-              | Some fi when run_own t fi ->
-                  attempt_done Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                    ~site:"applied" true
-              | Some _ ->
-                  attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                    Obs.Attribution.Flag_cas_lost;
-                  attempt (retry_pause bo) (n + 1)
-              | None ->
-                  attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                    (retry_cause2 gp_info r.p_info);
-                  attempt (retry_pause bo) (n + 1))
-          | _ ->
-              attempt_retry Obs.Trace.Delete ~key:v ~attempt:n ~t0
-                Obs.Attribution.Conflict;
-              attempt (retry_pause bo) (n + 1)
-        end
-  in
-  attempt Chaos.Backoff.init 1
+  G.delete t v
 
 let replace_key t vd vi =
   check_key vd;
   check_key vi;
-  if B.equal vd vi then false
-  else
-    let rec attempt bo n =
-      let t0 = span_start () in
-      let restart bo =
-        attempt_retry Obs.Trace.Replace ~key:vd ~attempt:n ~t0
-          Obs.Attribution.Conflict;
-        bo
-      in
-      let h = Atomic.get t.holder in
-      match search_renew t h vd with
-      | None -> attempt (retry_pause (restart bo)) (n + 1)
-      | Some rd -> (
-      descent t.stats (fun s -> s.descent_replace) rd.depth;
-      if not (key_in_trie rd.node vd rd.rmvd) then
-        attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"absent"
-          false
-      else begin
-        match search_renew t h vi with
-        | None -> attempt (retry_pause (restart bo)) (n + 1)
-        | Some ri -> (
-        descent t.stats (fun s -> s.descent_replace) ri.depth;
-        if key_in_trie ri.node vi ri.rmvd then
-          attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0 ~site:"present"
-            false
-        else begin
-          let node_info_i = Atomic.get (node_info ri.node) in
-          let node_sibling_d = Atomic.get rd.p.children.(sibling_index rd.p vd) in
-          let node_d = rd.node and node_i = ri.node in
-          let pd = rd.p and pi = ri.p in
-          let leaf_d =
-            match node_d with Leaf l -> l | Internal _ -> assert false
-          in
-          let same_node a b =
-            match (a, b) with
-            | Leaf x, Leaf y -> x == y
-            | Internal x, Internal y -> x == y
-            | _ -> false
-          in
-          let node_i_is ni (x : internal) =
-            match ni with Internal i -> i == x | Leaf _ -> false
-          in
-          let fi =
-            if
-              rd.gp <> None
-              && (not (same_node node_i node_d))
-              && (not (node_i_is node_i pd))
-              && (not
-                    (match rd.gp with
-                    | Some gp -> node_i_is node_i gp
-                    | None -> false))
-              && not (pi == pd)
-            then begin
-              let gpd = Option.get rd.gp and gpd_info = Option.get rd.gp_info in
-              let copy_i = copy_node ~gen:h.hgen node_i in
-              match
-                create_node ~gen:h.hgen copy_i (Leaf (new_leaf vi))
-                  (Some node_info_i)
-              with
-              | None -> None
-              | Some new_node_i -> (
-                  match node_i with
-                  | Internal i ->
-                      new_flag ~fh:h ~cell:t.holder
-                        ~flags:
-                          [
-                            (gpd, gpd_info);
-                            (pd, rd.p_info);
-                            (pi, ri.p_info);
-                            (i, node_info_i);
-                          ]
-                        ~unflag:[ gpd; pi ]
-                        ~pnodes:[ pi; gpd ]
-                        ~old_children:[ node_i; rd.p_node ]
-                        ~new_children:[ Internal new_node_i; node_sibling_d ]
-                        ~rmv_leaf:(Some leaf_d)
-                  | Leaf _ ->
-                      new_flag ~fh:h ~cell:t.holder
-                        ~flags:
-                          [ (gpd, gpd_info); (pd, rd.p_info); (pi, ri.p_info) ]
-                        ~unflag:[ gpd; pi ]
-                        ~pnodes:[ pi; gpd ]
-                        ~old_children:[ node_i; rd.p_node ]
-                        ~new_children:[ Internal new_node_i; node_sibling_d ]
-                        ~rmv_leaf:(Some leaf_d))
-            end
-            else if same_node node_i node_d then
-              new_flag ~fh:h ~cell:t.holder
-                ~flags:[ (pd, rd.p_info) ]
-                ~unflag:[ pd ] ~pnodes:[ pd ] ~old_children:[ node_i ]
-                ~new_children:[ Leaf (new_leaf vi) ] ~rmv_leaf:None
-            else if
-              (node_i_is node_i pd
-              && match rd.gp with Some gp -> pi == gp | None -> false)
-              || (rd.gp <> None && pi == pd)
-            then begin
-              let gpd = Option.get rd.gp and gpd_info = Option.get rd.gp_info in
-              let sib_info = Atomic.get (node_info node_sibling_d) in
-              match
-                create_node ~gen:h.hgen node_sibling_d (Leaf (new_leaf vi))
-                  (Some sib_info)
-              with
-              | None -> None
-              | Some new_node_i ->
-                  new_flag ~fh:h ~cell:t.holder
-                    ~flags:[ (gpd, gpd_info); (pd, rd.p_info) ]
-                    ~unflag:[ gpd ] ~pnodes:[ gpd ] ~old_children:[ rd.p_node ]
-                    ~new_children:[ Internal new_node_i ] ~rmv_leaf:None
-            end
-            else if
-              match rd.gp with Some gp -> node_i_is node_i gp | None -> false
-            then begin
-              let gpd = Option.get rd.gp in
-              let p_sibling_d = Atomic.get gpd.children.(sibling_index gpd vd) in
-              match create_node ~gen:h.hgen node_sibling_d p_sibling_d None with
-              | None -> None
-              | Some new_child_i -> (
-                  match
-                    create_node ~gen:h.hgen (Internal new_child_i)
-                      (Leaf (new_leaf vi)) None
-                  with
-                  | None -> None
-                  | Some new_node_i ->
-                      new_flag ~fh:h ~cell:t.holder
-                        ~flags:
-                          [
-                            (pi, ri.p_info);
-                            (gpd, Option.get rd.gp_info);
-                            (pd, rd.p_info);
-                          ]
-                        ~unflag:[ pi ] ~pnodes:[ pi ] ~old_children:[ node_i ]
-                        ~new_children:[ Internal new_node_i ] ~rmv_leaf:None)
-            end
-            else None
-          in
-          match fi with
-          | Some fi when run_own t fi ->
-              attempt_done Obs.Trace.Replace ~key:vd ~attempt:n ~t0
-                ~site:"applied" true
-          | Some _ ->
-              attempt_retry Obs.Trace.Replace ~key:vd ~attempt:n ~t0
-                Obs.Attribution.Flag_cas_lost;
-              attempt (retry_pause bo) (n + 1)
-          | None ->
-              let cause =
-                if
-                  flagged node_info_i || flagged rd.p_info || flagged ri.p_info
-                  || (match rd.gp_info with Some i -> flagged i | None -> false)
-                then Obs.Attribution.Flagged_ancestor
-                else Obs.Attribution.Conflict
-              in
-              attempt_retry Obs.Trace.Replace ~key:vd ~attempt:n ~t0 cause;
-              attempt (retry_pause bo) (n + 1)
-        end)
-      end)
-    in
-    attempt Chaos.Backoff.init 1
+  G.replace t vd vi
 
 (* ------------------------------------------------------------------ *)
 (* Byte-string front end (one byte = 8 binary digits) *)
@@ -734,184 +88,25 @@ let delete t s = delete_key t (B.encode_bytes s)
 let member t s = member_key t (B.encode_bytes s)
 let replace t ~remove ~add = replace_key t (B.encode_bytes remove) (B.encode_bytes add)
 
-let fold_leaves t ~init ~f =
-  let rec go acc = function
-    | Leaf l ->
-        if
-          B.equal l.key B.sentinel_lo
-          || B.equal l.key B.sentinel_hi
-          || logically_removed (Atomic.get l.linfo)
-        then acc
-        else f acc l.key
-    | Internal i ->
-        go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
-  in
-  go init (Internal (Atomic.get t.holder).hroot)
-
 let to_list t =
-  List.rev (fold_leaves t ~init:[] ~f:(fun acc k -> B.decode_bytes k :: acc))
+  List.rev (G.fold_leaves t ~init:[] ~f:(fun acc k -> B.decode_bytes k :: acc))
 
-let size t = fold_leaves t ~init:0 ~f:(fun acc _ -> acc + 1)
+let size = G.size
 
-let check_invariants t =
-  let errors = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  let rec go (path : B.t) node =
-    (match Atomic.get (node_info node) with
-    | Unflag _ -> ()
-    | Snap _ -> err "residual snapshot descriptor on reachable node"
-    | Flag _ -> (
-        match node with
-        | Leaf l -> err "residual flag on reachable leaf %a" B.pp l.key
-        | Internal i -> err "residual flag on internal %a" B.pp i.label));
-    match node with
-    | Leaf l ->
-        if not (B.is_prefix path l.key) then
-          err "leaf %a not under path %a" B.pp l.key B.pp path
-    | Internal i ->
-        if not (B.is_prefix path i.label) then
-          err "internal %a not under path %a" B.pp i.label B.pp path;
-        let c0 = Atomic.get i.children.(0) and c1 = Atomic.get i.children.(1) in
-        let check dir c =
-          let expect = B.extend i.label dir in
-          if not (B.is_prefix expect (node_label c)) then
-            err "child %d of %a mislabelled" dir B.pp i.label
-        in
-        check 0 c0;
-        check 1 c1;
-        go (B.extend i.label 0) c0;
-        go (B.extend i.label 1) c1
-  in
-  go B.empty (Internal (Atomic.get t.holder).hroot);
-  match !errors with [] -> Ok () | es -> Error (String.concat "; " es)
+type view = G.view
 
-(* ------------------------------------------------------------------ *)
-(* Snapshots: the same protocol as {!Patricia.snapshot} — sandwich a
-   Snap descriptor on the root's info field, swing the holder to a
-   fresh-generation copy, then resolve every published descriptor so
-   the frozen generation is physically complete before returning. *)
-
-type view = { vepoch : int; vroot : internal }
-
-let snapshot t =
-  let rec attempt () =
-    let h = Atomic.get t.holder in
-    let root = h.hroot in
-    match Atomic.get root.iinfo with
-    | (Flag _ | Snap _) as fi ->
-        ignore (help fi);
-        attempt ()
-    | Unflag _ as ri ->
-        let c0 = Atomic.get root.children.(0)
-        and c1 = Atomic.get root.children.(1) in
-        let gen' = ref () in
-        let root' =
-          {
-            label = root.label;
-            children = [| Atomic.make c0; Atomic.make c1 |];
-            iinfo = Atomic.make (fresh_unflag ());
-            gen = gen';
-          }
-        in
-        let h' = { epoch = h.epoch + 1; hgen = gen'; hroot = root' } in
-        let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
-        if Atomic.compare_and_set root.iinfo ri si then begin
-          ignore (Atomic.compare_and_set t.holder h h');
-          ignore (Atomic.compare_and_set root.iinfo si (fresh_unflag ()));
-          List.iter
-            (fun slot ->
-              match Atomic.get slot with
-              | Some fi -> ignore (help fi)
-              | None -> ())
-            (Atomic.get t.slots);
-          h
-        end
-        else attempt ()
-  in
-  let h = attempt () in
-  { vepoch = h.epoch; vroot = h.hroot }
+let snapshot = G.snapshot
 
 module View = struct
   type t = view
 
-  let epoch v = v.vepoch
-
-  (* Frozen walk: info fields are ignored (see {!Patricia.View}) —
-     every reachable non-sentinel leaf is an element of the frozen
-     set. *)
-  let fold_keys v ~init ~f =
-    let rec go acc = function
-      | Leaf l ->
-          if B.equal l.key B.sentinel_lo || B.equal l.key B.sentinel_hi then
-            acc
-          else f acc l.key
-      | Internal i ->
-          go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
-    in
-    go init (Internal v.vroot)
-
-  let fold v ~init ~f =
-    fold_keys v ~init ~f:(fun acc k -> f acc (B.decode_bytes k))
-
+  let epoch = G.View.epoch
+  let fold v ~init ~f = G.View.fold v ~init ~f:(fun acc k -> f acc (B.decode_bytes k))
   let to_list v = List.rev (fold v ~init:[] ~f:(fun acc s -> s :: acc))
-  let size v = fold_keys v ~init:0 ~f:(fun acc _ -> acc + 1)
+  let size = G.View.size
 end
 
-(* ------------------------------------------------------------------ *)
-(* Structure forensics: shape census and descent-cost exports *)
-
-(* Per-node footprint on 64-bit, in words.  Fixed parts match
-   {!Patricia} (variant wrapper 2, record fields + header, one Atomic
-   box of 2 per mutable slot, [Unflag (ref ())] info 4); labels and
-   keys add a {!Bitkey.Bitstr.t} record (3 words) plus its backing
-   string block (header + padded data words).  Shared strings (the
-   sentinels, [B.empty]) are counted once per node by the estimate;
-   [Obj.reachable_words] in [census] reports the deduplicated truth. *)
-let bitstr_words b =
-  let bytes = (B.length b + 7) / 8 in
-  3 + 1 + ((bytes + 8) / 8)
-
-let internal_base_words = 20 (* +1 over the PR 8 layout: the gen field *)
-let leaf_base_words = 11
-
-let census t =
-  let a = Obs.Shape.acc ~structure:name in
-  let rec go depth node =
-    match node with
-    | Leaf l ->
-        let sentinel =
-          B.equal l.key B.sentinel_lo || B.equal l.key B.sentinel_hi
-        in
-        let keys =
-          if sentinel || logically_removed (Atomic.get l.linfo) then 0 else 1
-        in
-        Obs.Shape.leaf a ~depth ~keys ~sentinel
-          ~words:(leaf_base_words + bitstr_words l.key)
-    | Internal i ->
-        Obs.Shape.internal a ~depth ~prefix_len:(B.length i.label) ~children:2
-          ~words:(internal_base_words + bitstr_words i.label);
-        go (depth + 1) (Atomic.get i.children.(0));
-        go (depth + 1) (Atomic.get i.children.(1))
-  in
-  let root = (Atomic.get t.holder).hroot in
-  go 0 (Internal root);
-  let measured_words = Obj.reachable_words (Obj.repr root) in
-  Some (Obs.Shape.finish ~measured_words a)
-
-let descent_stats t =
-  match t.stats with
-  | None -> None
-  | Some s ->
-      Some
-        [
-          ("descent_nodes_find", Obs.Counter.sum s.descent_find);
-          ("descent_nodes_insert", Obs.Counter.sum s.descent_insert);
-          ("descent_nodes_delete", Obs.Counter.sum s.descent_delete);
-          ("descent_nodes_replace", Obs.Counter.sum s.descent_replace);
-          ("descent_searches", Obs.Counter.sum s.descent_searches);
-        ]
-
-let descent_summary t =
-  match t.stats with
-  | None -> None
-  | Some s -> Some (Obs.Histogram.snapshot s.descent_depth)
+let check_invariants = G.check_invariants
+let census t = G.census ~structure:name t
+let descent_stats = G.descent_stats
+let descent_summary = G.descent_summary

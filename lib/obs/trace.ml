@@ -4,17 +4,18 @@
     raw storage of the flight recorder ({!Perfetto}): each domain
     appends events (operation kind, key, outcome, retry count, monotonic
     timestamp — and, for attempt {e spans}, the attempt number, the
-    retry cause / CAS site label and a duration) to its own ring with
-    plain writes — no synchronization on the hot path — and [dump]
-    stitches the rings back together in timestamp order once the run is
-    quiescent.  With the default capacity of 1024 events per stripe a
-    failing schedule's last few thousand operations are always available
-    without the tracing itself changing the schedule much.
+    retry cause / CAS site label and a duration) to its own ring — one
+    uncontended fetch-and-add claims the slot, so two live domains whose
+    ids collide on a stripe still never overwrite each other's events —
+    and [dump] stitches the rings back together in timestamp order once
+    the run is quiescent.  With the default capacity of 1024 events per
+    stripe a failing schedule's last few thousand operations are always
+    available without the tracing itself changing the schedule much.
 
-    A full ring overwrites its oldest slot; each overwrite is counted in
-    a per-ring [dropped] counter (plain single-writer int, like the ring
-    itself) so loss is never silent: {!dropped} totals the overwrites
-    and both {!to_json} and the benchmark drivers surface it. *)
+    A full ring overwrites its oldest slot; each overwrite is counted
+    (the ring's claim count beyond its capacity) so loss is never
+    silent: {!dropped} totals the overwrites and both {!to_json} and the
+    benchmark drivers surface it. *)
 
 type kind = Insert | Delete | Member | Replace | Custom of string
 
@@ -48,9 +49,9 @@ let runtime_track_base = 20_000
 let is_span e = e.dur_ns > 0
 
 type ring = {
-  mutable next : int; (* slot for the next write *)
-  mutable filled : int; (* number of valid slots, <= capacity *)
-  mutable dropped : int; (* events overwritten after the ring filled *)
+  claimed : int Atomic.t;
+      (* events ever pushed; the next one goes to slot
+         [claimed land (capacity - 1)] *)
   buf : event array;
 }
 
@@ -79,7 +80,7 @@ let create ?(capacity = default_capacity) () =
   {
     rings =
       Array.init Stripe.count (fun _ ->
-          { next = 0; filled = 0; dropped = 0; buf = Array.make capacity dummy });
+          { claimed = Atomic.make 0; buf = Array.make capacity dummy });
     capacity;
   }
 
@@ -88,13 +89,11 @@ let capacity t = t.capacity
 (* The ring is selected by the *writing* domain, not by [e.domain]:
    the event's [domain] field is a display track id that collectors
    (e.g. the runtime-events domain) may set to another domain's track
-   while still being the sole writer of their own ring. *)
+   while still writing into their own ring. *)
 let[@inline] push t (e : event) =
   let r = Array.unsafe_get t.rings (Stripe.index ()) in
-  Array.unsafe_set r.buf r.next e;
-  r.next <- (r.next + 1) land (t.capacity - 1);
-  if r.filled < t.capacity then r.filled <- r.filled + 1
-  else r.dropped <- r.dropped + 1
+  let n = Atomic.fetch_and_add r.claimed 1 in
+  Array.unsafe_set r.buf (n land (t.capacity - 1)) e
 
 let emit t kind ~key ~ok ~retries =
   push t
@@ -137,7 +136,7 @@ let emit_span t kind ~key ~ok ~retries ~attempt ~site ~t0_ns =
     from elsewhere (runtime-events timestamps, request stage stamps)
     and by emitters whose display track is not their own domain id
     (per-connection tracks, GC tracks).  The event still lands in the
-    {e writer's} ring, preserving the single-writer discipline. *)
+    {e writer's} ring. *)
 let add_span t kind ~track ~key ~ok ~retries ~attempt ~site ~t0_ns ~dur_ns =
   push t
     {
@@ -154,33 +153,27 @@ let add_span t kind ~track ~key ~ok ~retries ~attempt ~site ~t0_ns ~dur_ns =
 
 (** Total events lost to ring overwrites since creation (or {!clear}). *)
 let dropped t =
-  Array.fold_left (fun acc r -> acc + r.dropped) 0 t.rings
+  Array.fold_left
+    (fun acc r -> acc + max 0 (Atomic.get r.claimed - t.capacity))
+    0 t.rings
 
 (** All retained events, oldest first (merged across domains by
     timestamp).  Quiescent use: concurrent emitters may tear the very
     newest slots of their own ring, never older ones. *)
 let dump t =
   let per_ring r =
-    if r.filled = 0 then []
-    else
-      let start =
-        if r.filled < t.capacity then 0
-        else r.next (* full ring: oldest slot is the next overwrite target *)
-      in
-      List.init r.filled (fun i ->
-          r.buf.((start + i) land (t.capacity - 1)))
+    let n = Atomic.get r.claimed in
+    (* A full ring's oldest slot is the next overwrite target. *)
+    let start = if n <= t.capacity then 0 else n in
+    List.init (min n t.capacity) (fun i ->
+        r.buf.((start + i) land (t.capacity - 1)))
   in
   Array.to_list t.rings
   |> List.concat_map per_ring
   |> List.stable_sort (fun a b -> compare a.t_ns b.t_ns)
 
 let clear t =
-  Array.iter
-    (fun r ->
-      r.next <- 0;
-      r.filled <- 0;
-      r.dropped <- 0)
-    t.rings
+  Array.iter (fun r -> Atomic.set r.claimed 0) t.rings
 
 let event_to_json e =
   let base =
