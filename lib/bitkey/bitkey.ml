@@ -96,6 +96,86 @@ module Label = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Labels packed into one immediate int.  A label of length [len] over
+   width-[width] keys is
+
+     ((bits lsl 1) lor 1) lsl (width - len)
+
+   i.e. the prefix bits left-aligned one position above where they sit
+   in the key, followed by a terminator bit.  Key bit [j] lines up with
+   label bit [j + 1], so the terminator sits exactly where the key's
+   next bit after the prefix would be, and every operation below except
+   [empty], [length] and the conversions is independent of the width.
+   A width-62 trie uses bit 62 too (the sign bit), so nothing here
+   compares labels as numbers except [compare], which only needs some
+   total order. *)
+
+module Packed = struct
+  type t = int
+
+  (* The terminator: the lowest set bit, as a one-bit mask. *)
+  let[@inline] low l = l land -l
+
+  (* The bits strictly above the one-bit mask [b] (empty for bit 62). *)
+  let[@inline] above b = -(b lsl 1)
+
+  let empty ~width = 1 lsl width
+  let of_key k = (k lsl 1) lor 1
+
+  let of_label ~width (l : Label.t) =
+    ((l.bits lsl 1) lor 1) lsl (width - l.len)
+
+  (* Position of the terminator; [l <> 0] for every label. *)
+  let terminator l =
+    let rec go n l = if l land 1 = 1 then n else go (n + 1) (l lsr 1) in
+    go 0 l
+
+  let length ~width l = width - terminator l
+  let lo l = (l lxor low l) lsr 1
+  let hi l = lo l lor (low l - 1)
+
+  let to_label ~width l : Label.t =
+    { bits = lo l lsr terminator l; len = length ~width l }
+
+  let is_prefix_of_key l k = ((k lsl 1) lxor l) land above (low l) = 0
+  let next_bit_of_key l k = if (k lsl 1) land low l = 0 then 0 else 1
+  let next_bit p b = if b land low p = 0 then 0 else 1
+
+  (* [a]'s bits agree with [b]'s above [a]'s terminator, and [b]'s
+     terminator is not above [a]'s. *)
+  let is_prefix a b = ((a lxor b) lor low b) land above (low a) = 0
+
+  (* The highest set bit of [x <> 0], as a one-bit mask. *)
+  let highest_bit x =
+    if x < 0 then min_int
+    else
+      let x = x lor (x lsr 1) in
+      let x = x lor (x lsr 2) in
+      let x = x lor (x lsr 4) in
+      let x = x lor (x lsr 8) in
+      let x = x lor (x lsr 16) in
+      let x = x lor (x lsr 32) in
+      x lxor (x lsr 1)
+
+  let lcp a b =
+    let la = low a and lb = low b in
+    let diff = (a lxor b) land above la land above lb in
+    if diff = 0 then if lb land above la = 0 then a else b
+    else
+      let d = highest_bit diff in
+      (a land above d) lor d
+
+  let extend l b =
+    if b <> 0 && b <> 1 then invalid_arg "Packed.extend: bit";
+    let x = low l in
+    if x = 1 then invalid_arg "Packed.extend: full-length label";
+    (if b = 1 then l else l lxor x) lor (x lsr 1)
+
+  let compare = Int.compare
+  let pp ~width fmt l = Label.pp fmt (to_label ~width l)
+end
+
+(* ------------------------------------------------------------------ *)
 (* Morton (Z-order) interleaving: a point (x, y) becomes the key whose
    bits alternate between the bits of x and y, so the trie behaves like
    a quadtree and [replace] moves a point atomically (paper Section I). *)

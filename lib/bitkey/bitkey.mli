@@ -76,6 +76,57 @@ module Label : sig
   val pp : Format.formatter -> t -> unit
 end
 
+(** Labels packed into one immediate int, for the concurrent trie's
+    nodes.  A label of length [len] over width-[width] keys is
+    [((bits lsl 1) lor 1) lsl (width - len)]: the prefix left-aligned
+    one bit above its place in the key, then a terminator bit.  The
+    terminator lines up with the key's next bit after the prefix, so the
+    search primitives are one mask each, and all operations but
+    {!empty}, {!length} and the conversions ignore the width.  Widths up
+    to {!max_width} fit; at width 62 labels use the sign bit. *)
+module Packed : sig
+  type t = int
+
+  val empty : width:int -> t
+  (** The empty label ε, the root's. *)
+
+  val of_key : int -> t
+  (** The full-length label of a key (the label of its leaf). *)
+
+  val of_label : width:int -> Label.t -> t
+  val to_label : width:int -> t -> Label.t
+  val length : width:int -> t -> int
+
+  val lo : t -> int
+  (** The smallest key the label prefixes. *)
+
+  val hi : t -> int
+  (** The largest key the label prefixes. *)
+
+  val is_prefix_of_key : t -> int -> bool
+  (** As {!Label.is_prefix_of_key}: one xor and one mask. *)
+
+  val next_bit_of_key : t -> int -> int
+  (** As {!Label.next_bit_of_key}, for a label shorter than the key: the
+      key bit under the label's terminator. *)
+
+  val next_bit : t -> t -> int
+  (** As {!Label.next_bit}, for [t] a proper prefix of [b]. *)
+
+  val is_prefix : t -> t -> bool
+  val lcp : t -> t -> t
+
+  val extend : t -> int -> t
+  (** @raise Invalid_argument if the bit is not 0/1 or the label is
+      full-length. *)
+
+  val compare : t -> t -> int
+  (** Any total order on labels (here the integer order); updates flag
+      nodes in this order. *)
+
+  val pp : width:int -> Format.formatter -> t -> unit
+end
+
 val interleave2 : coord_bits:int -> int -> int -> int
 (** [interleave2 ~coord_bits x y] is the Morton (Z-order) key whose bits
     alternate between those of [x] and [y]; under this encoding the trie

@@ -1,43 +1,36 @@
 (* Non-blocking Patricia trie with replace operations over l-bit integer
-   keys: {!Patricia_gen.Make} instantiated with {!Bitkey.Label} labels,
-   plus what only this trie has — the embedding of a user universe into
-   l-bit keys, label-interval pruning for range folds, and
-   [min_elt]/[max_elt]. *)
+   keys: {!Patricia_gen.Make} instantiated with {!Bitkey.Packed}
+   labels, plus what only this trie has — the embedding of a user
+   universe into l-bit keys, label-interval pruning for range folds,
+   and [min_elt]/[max_elt]. *)
 
-module Label = Bitkey.Label
+module Packed = Bitkey.Packed
 
 module Int_label = struct
   type key = int
-  type label = Label.t
+  type label = Packed.t (* an immediate: no block per label *)
   type ctx = int (* key width l *)
 
-  (* The hot primitives are restated over [Label.t]'s fields rather
-     than wrapping [Label.of_key]/[is_prefix_of_key]/[next_bit_of_key],
-     so each costs one call into this module, not two.  Keys reaching
-     the trie are in range ([internal_key]). *)
-  let leaf_label width k : Label.t = { bits = k; len = width }
-
-  let is_prefix_of_key width (l : Label.t) k =
-    l.len <= width && k lsr (width - l.len) = l.bits
-
-  let next_bit_of_key width (l : Label.t) k =
-    if l.len >= width then invalid_arg "Label.next_bit_of_key: label too long";
-    (k lsr (width - l.len - 1)) land 1
-
-  let next_bit = Label.next_bit
-  let lcp = Label.lcp
-  let is_prefix = Label.is_prefix
-  let compare = Label.compare
-  let extend = Label.extend
-  let length = Label.length
-  let empty = Label.empty
-  let pp = Label.pp
+  (* Every primitive on the search path is width-free in the packed
+     encoding, so these bind the {!Bitkey.Packed} functions directly and
+     a search step costs one call per primitive. *)
+  let leaf_label = Packed.of_key
+  let is_prefix_of_key = Packed.is_prefix_of_key
+  let next_bit_of_key = Packed.next_bit_of_key
+  let next_bit = Packed.next_bit
+  let lcp = Packed.lcp
+  let is_prefix = Packed.is_prefix
+  let compare = Packed.compare
+  let extend = Packed.extend
+  let length width l = Packed.length ~width l
+  let empty width = Packed.empty ~width
+  let pp width = Packed.pp ~width
   let sentinel_lo _ = 0
   let sentinel_hi width = (1 lsl width) - 1
   let is_sentinel width k = k = 0 || k = (1 lsl width) - 1
   let key_equal (a : int) b = a = b
   let trace_key k = k
-  let label_words _ = 3 (* the boxed {bits; len} record *)
+  let label_words _ = 0 (* an immediate *)
   let key_words _ = 0 (* an immediate *)
 end
 
@@ -94,20 +87,12 @@ let min_elt t =
   | exception Found_key k -> Some k
 
 let max_elt t =
-  (* Mirror traversal: rightmost real leaf first. *)
-  let rec go = function
-    | G.Leaf l ->
-        if
-          (not (Int_label.is_sentinel t.width l.key))
-          && not (G.logically_removed (Atomic.get l.linfo))
-        then raise_notrace (Found_key (l.key - t.offset))
-    | G.Internal i ->
-        go (Atomic.get i.children.(1));
-        go (Atomic.get i.children.(0))
-  in
-  match go (G.Internal (G.root t.g)) with
+  match
+    G.fold_tree t.width ~live:true ~descending:true ~enter:G.everywhere
+      (G.root t.g) ~init:() ~f:(fun () k -> raise_notrace (Found_key k))
+  with
   | () -> None
-  | exception Found_key k -> Some k
+  | exception Found_key k -> Some (k - t.offset)
 
 (* Range query: visit keys in [lo, hi] in ascending order, pruning every
    subtree whose label interval is disjoint from the range — the
@@ -120,15 +105,10 @@ let fold_range_from ~live ~width ~offset ~bound root ~lo ~hi ~init ~f =
   if lo > hi then init
   else
     let ilo = lo + offset and ihi = hi + offset in
-    (* The subtree under a node labelled (bits, len) holds exactly the
-       keys in [bits << (width-len), (bits+1) << (width-len)). *)
-    let enter (l : Label.t) =
-      let shift = width - l.len in
-      let node_lo = l.bits lsl shift in
-      let node_hi = node_lo lor ((1 lsl shift) - 1) in
-      node_hi >= ilo && node_lo <= ihi
-    in
-    G.fold_tree width ~live ~enter root ~init ~f:(fun acc k ->
+    (* The subtree under a node holds exactly the keys between its
+       label's [lo] and [hi]. *)
+    let enter l = Packed.hi l >= ilo && Packed.lo l <= ihi in
+    G.fold_tree width ~live ~descending:false ~enter root ~init ~f:(fun acc k ->
         if k >= ilo && k <= ihi then f acc (k - offset) else acc)
 
 let fold_range t ~lo ~hi ~init ~f =

@@ -19,8 +19,14 @@
      the paper's pointer-identity CAS.
    - The paper avoids the ABA problem on [info] fields by installing a
      *newly allocated* Unflag object on every unflag/backtrack CAS; we
-     reproduce this with [Unflag (ref ())], whose block is fresh per
-     allocation, so two Unflags are never physically equal.
+     reproduce this with an [Unflag] constructor over a mutable inline
+     record, which the compiler may never share, so every [Unflag]
+     value is a fresh block and two are never physically equal.
+   - A node is one block: [Leaf] and [Internal] carry inline records,
+     and an internal node's two children are two [Atomic.t] fields.  A
+     node value read from a child cell is therefore the node itself,
+     and CASing it back as an expected old child needs no care about
+     re-wrapping.
    - A Flag descriptor must be wrapped in the [info] variant exactly once
      so that all CASes and reads compare the same physical value; the
      shared wrapper is created in the newFlag family and threaded
@@ -43,12 +49,12 @@ module type LABEL = sig
   (** Per-trie context passed to the key-side operations (the key width
       for fixed-width keys). *)
 
-  val leaf_label : ctx -> key -> label
+  val leaf_label : key -> label
 
-  val next_bit_of_key : ctx -> label -> key -> int
+  val next_bit_of_key : label -> key -> int
   (** Child direction at a node with this label (line 82). *)
 
-  val is_prefix_of_key : ctx -> label -> key -> bool
+  val is_prefix_of_key : label -> key -> bool
   (** Does the search for the key continue below a node with this label
       (line 79)? *)
 
@@ -62,9 +68,9 @@ module type LABEL = sig
   (** Any total order: nodes are flagged in this order (line 115). *)
 
   val extend : label -> int -> label
-  val length : label -> int
-  val empty : label
-  val pp : Format.formatter -> label -> unit
+  val length : ctx -> label -> int
+  val empty : ctx -> label
+  val pp : ctx -> Format.formatter -> label -> unit
   val sentinel_lo : ctx -> key
   val sentinel_hi : ctx -> key
   val is_sentinel : ctx -> key -> bool
@@ -187,31 +193,39 @@ let[@inline] retry_pause (stats : stats option) bo =
 let[@inline] span_start () =
   if Atomic.get Obs.Trace.active then Obs.Clock.now_ns () else 0
 
+
 module Make (L : LABEL) = struct
-  type info = Unflag of unit ref | Flag of flag | Snap of snap
-  and node = Leaf of leaf | Internal of internal
-  and leaf = { key : L.key; linfo : info Atomic.t }
+  type info =
+    | Unflag of { mutable fresh : unit }
+        (* Mutable, so every construction allocates a new block: the
+           physical identity is the whole point of the value. *)
+    | Flag of flag
+    | Snap of snap
 
-  and internal = {
-    label : L.label;
-    children : node Atomic.t array; (* length 2: left (bit 0), right (bit 1) *)
-    iinfo : info Atomic.t;
-    gen : unit ref;
-        (* Generation stamp: physically equal to [hgen] of the holder
-           that was current when this node was created.  Immutable.
-           Updates renew (copy into the current generation) every
-           internal node they descend through whose stamp is stale, so
-           the nodes whose children they CAS always belong to the live
-           generation and the frozen generations behind past snapshots
-           are never mutated. *)
-  }
+  and node =
+    | Leaf of { key : L.key; linfo : info Atomic.t }
+    | Internal of {
+        label : L.label;
+        c0 : node Atomic.t; (* left child: next bit 0 *)
+        c1 : node Atomic.t; (* right child: next bit 1 *)
+        iinfo : info Atomic.t;
+        gen : int;
+            (* Generation stamp: the [epoch] of the holder that was
+               current when this node was created.  Immutable.  Epochs
+               of installed holders are distinct, since each snapshot
+               installs [epoch + 1] over the holder it read.  Updates
+               renew (copy into the current generation) every internal
+               node they descend through whose stamp is stale, so the
+               nodes whose children they CAS always belong to the live
+               generation and the frozen generations behind past
+               snapshots are never mutated. *)
+      }
 
-  (* One generation of the trie.  [hroot] is that generation's root;
-     [hgen] is the identity the root's descendants are stamped with.
-     The live generation is the one in [t.holder]; a snapshot replaces
-     it wholesale (fresh [hroot] sharing the old children), so a holder
+  (* One generation of the trie: its [epoch] and root.  The live
+     generation is the one in [t.holder]; a snapshot replaces it
+     wholesale (fresh [hroot] sharing the old children), so a holder
      value doubles as a frozen, immutable version once superseded. *)
-  and holder = { epoch : int; hgen : unit ref; hroot : internal }
+  and holder = { epoch : int; hroot : node }
 
   (* The fate of an update descriptor.  [Pending] until some process
      that completed the flagging phase validates the generation; the
@@ -222,20 +236,20 @@ module Make (L : LABEL) = struct
 
   (* The Flag descriptor (paper Figure 2, lines 8-16).  [flag_nodes] are
      the internal nodes to flag, sorted by label; [old_infos.(i)] is the
-     value that must still be in [flag_nodes.(i).iinfo] for the flag CAS
-     to succeed.  [pnodes.(i).children.(k)] is CASed from
+     value that must still be in [flag_nodes.(i)]'s info field for the
+     flag CAS to succeed.  [pnodes.(i)]'s child is CASed from
      [old_children.(i)] to [new_children.(i)].  [unflag_nodes] are
      unflagged afterwards; flagged nodes absent from it are removed from
      the trie and stay flagged ("marked") forever.  [rmv_leaf] is the
      leaf logically removed by a general-case replace. *)
   and flag = {
-    flag_nodes : internal array;
+    flag_nodes : node array;
     old_infos : info array;
-    unflag_nodes : internal array;
-    pnodes : internal array;
+    unflag_nodes : node array;
+    pnodes : node array;
     old_children : node array;
     new_children : node array;
-    rmv_leaf : leaf option;
+    rmv_leaf : node option;
     decision : decision Atomic.t;
         (* Replaces the paper's [flag_done] bit: [Commit] is decided by
            the single CAS of a process that observed every flag CAS
@@ -245,7 +259,6 @@ module Make (L : LABEL) = struct
            never changes. *)
     fholder : holder; (* the generation this attempt's search ran against *)
     fcell : holder Atomic.t; (* the owning trie's holder cell, for validation *)
-    fctx : L.ctx; (* the owning trie's context, for child-index computation *)
     fstats : stats option;
         (* The owning trie's counters, carried by the descriptor so that
            helpers — which see only the descriptor — can attribute
@@ -253,10 +266,10 @@ module Make (L : LABEL) = struct
   }
 
   (* Descriptor of an in-flight snapshot, installed on the old root's
-     [iinfo] like a one-node flag: it proves the root's children did not
-     change between being copied into [s_new.hroot] and the holder CAS,
-     and it lets any process (an update that finds it while flagging the
-     root, or a concurrent snapshot) complete the swing. *)
+     info field like a one-node flag: it proves the root's children did
+     not change between being copied into [s_new.hroot] and the holder
+     CAS, and it lets any process (an update that finds it while
+     flagging the root, or a concurrent snapshot) complete the swing. *)
   and snap = { s_old : holder; s_new : holder; s_cell : holder Atomic.t }
 
   type t = {
@@ -289,13 +302,31 @@ module Make (L : LABEL) = struct
         r := Some s;
         s
 
-  let fresh_unflag () = Unflag (ref ())
-  let new_leaf key = { key; linfo = Atomic.make (fresh_unflag ()) }
+  let fresh_unflag () = Unflag { fresh = () }
+  let new_leaf key = Leaf { key; linfo = Atomic.make (fresh_unflag ()) }
+
+  let new_internal ~gen label c0 c1 =
+    Internal
+      {
+        label;
+        c0 = Atomic.make c0;
+        c1 = Atomic.make c1;
+        iinfo = Atomic.make (fresh_unflag ());
+        gen;
+      }
+
   let node_info = function Leaf l -> l.linfo | Internal i -> i.iinfo
 
-  let node_label ctx = function
-    | Leaf l -> L.leaf_label ctx l.key
+  let node_label = function
+    | Leaf l -> L.leaf_label l.key
     | Internal i -> i.label
+
+  (* The child cell of internal node [n] in direction [k]: every child
+     read and child CAS goes through here. *)
+  let[@inline] child_cell n k =
+    match n with
+    | Internal i -> if k = 0 then i.c0 else i.c1
+    | Leaf _ -> invalid_arg "Patricia_gen.child_cell: leaf"
 
   let span_emit kind ~key ~ok ~attempt ~site ~t0 =
     match Obs.Trace.recorder () with
@@ -320,22 +351,14 @@ module Make (L : LABEL) = struct
      children start as the two sentinel leaves, which are never
      elements of D. *)
   let create ctx ~record_stats =
-    let gen = ref () in
     let root =
-      {
-        label = L.empty;
-        children =
-          [|
-            Atomic.make (Leaf (new_leaf (L.sentinel_lo ctx)));
-            Atomic.make (Leaf (new_leaf (L.sentinel_hi ctx)));
-          |];
-        iinfo = Atomic.make (fresh_unflag ());
-        gen;
-      }
+      new_internal ~gen:0 (L.empty ctx)
+        (new_leaf (L.sentinel_lo ctx))
+        (new_leaf (L.sentinel_hi ctx))
     in
     {
       ctx;
-      holder = Atomic.make { epoch = 0; hgen = gen; hroot = root };
+      holder = Atomic.make { epoch = 0; hroot = root };
       slots = Atomic.make [];
       slot_key = Domain.DLS.new_key (fun () -> ref None);
       stats = (if record_stats then Some (make_stats ()) else None);
@@ -344,8 +367,7 @@ module Make (L : LABEL) = struct
   let root t = (Atomic.get t.holder).hroot
 
   (* ---------------------------------------------------------------- *)
-  (* Search (lines 76-85) — no writes; wait-free for fixed-width keys
-     (at most [width] iterations). *)
+  (* Search (lines 76-85) *)
 
   (* logicallyRemoved (lines 122-124): a leaf flagged by a general-case
      replace is logically removed once the replace's first child CAS has
@@ -355,17 +377,12 @@ module Make (L : LABEL) = struct
     | Flag f ->
         let p = f.pnodes.(0) and old = f.old_children.(0) in
         not
-          (Atomic.get p.children.(0) == old || Atomic.get p.children.(1) == old)
+          (Atomic.get (child_cell p 0) == old
+          || Atomic.get (child_cell p 1) == old)
 
   type search_result = {
-    gp : internal option;
-    p : internal;
-    p_node : node;
-        (* The *same physical* [node] value stored in gp's child array
-           for [p].  CAS compares physical identity, so an update whose
-           old child is [p] must use this value — re-wrapping [p] in the
-           [Internal] constructor would allocate a distinct block and the
-           child CAS would never succeed. *)
+    gp : node option;
+    p : node;
     node : node;
     gp_info : info option;
     p_info : info;
@@ -378,33 +395,32 @@ module Make (L : LABEL) = struct
            level. *)
   }
 
-  let search t v =
-    (* The root's label is a prefix of every key, so the loop body runs
-       at least once and [p] is always an internal node on return.  The
-       root is never an old child of any CAS, so its boxed stand-in is
-       harmless. *)
-    let ctx = t.ctx in
-    let rec go gp gp_info (p : internal) p_boxed p_info d =
-      let node = Atomic.get p.children.(L.next_bit_of_key ctx p.label v) in
-      match node with
-      | Internal i when L.is_prefix_of_key ctx i.label v ->
-          go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
-      | _ ->
-          let rmvd =
-            match node with
-            | Leaf l -> logically_removed (Atomic.get l.linfo)
-            | Internal _ -> false
-          in
-          { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
-    in
-    let root = root t in
-    go None None root (Internal root) (Atomic.get root.iinfo) 0
-
   (* keyInTrie (lines 125-126) *)
   let key_in_trie node v rmvd =
     match node with
     | Leaf l -> L.key_equal l.key v && not rmvd
     | Internal _ -> false
+
+  (* find (lines 72-75) as its own descent: the search of lines 76-85
+     reduced to what find uses.  It reads only labels, child cells and
+     (at a leaf with the key) the leaf's info field; it writes nothing,
+     allocates nothing and never checks generations, and for
+     fixed-width keys it follows at most [width] child pointers.  [d]
+     counts the pointers followed, as [search_result.depth]. *)
+  let rec find_from stats v node d =
+    match node with
+    | Internal i when L.is_prefix_of_key i.label v ->
+        find_from stats v
+          (Atomic.get (child_cell node (L.next_bit_of_key i.label v)))
+          (d + 1)
+    | Leaf { key; linfo } ->
+        descent stats (fun s -> s.descent_find) d;
+        L.key_equal key v && not (logically_removed (Atomic.get linfo))
+    | Internal _ ->
+        descent stats (fun s -> s.descent_find) d;
+        false
+
+  let member t v = find_from t.stats v (root t) 0
 
   (* ---------------------------------------------------------------- *)
   (* help (lines 86-106) *)
@@ -422,10 +438,10 @@ module Make (L : LABEL) = struct
     let rec loop i =
       if i >= n then true
       else begin
-        let x = f.flag_nodes.(i) in
+        let x = node_info f.flag_nodes.(i) in
         chaos_point Chaos.Flag_cas;
-        let ours = Atomic.compare_and_set x.iinfo f.old_infos.(i) fi in
-        if Atomic.get x.iinfo == fi then begin
+        let ours = Atomic.compare_and_set x f.old_infos.(i) fi in
+        if Atomic.get x == fi then begin
           if not ours then bump f.fstats (fun s -> s.helps_received);
           loop (i + 1)
         end
@@ -441,9 +457,9 @@ module Make (L : LABEL) = struct
         (* Line 97: the child index is the (|p.label|+1)-th bit of the
            new child's label, which p.label properly prefixes by
            Invariant 7. *)
-        let k = L.next_bit p.label (node_label f.fctx nc) in
+        let k = L.next_bit (node_label p) (node_label nc) in
         chaos_point Chaos.Child_cas;
-        if not (Atomic.compare_and_set p.children.(k) f.old_children.(i) nc)
+        if not (Atomic.compare_and_set (child_cell p k) f.old_children.(i) nc)
         then
           (* Expected old child already gone: a helper or a conflicting
              update got there first.  Attempt number unknown on the
@@ -471,7 +487,6 @@ module Make (L : LABEL) = struct
            decision = Atomic.make Pending;
            fholder = fh;
            fcell = t.holder;
-           fctx = t.ctx;
            fstats = t.stats;
          })
 
@@ -481,7 +496,8 @@ module Make (L : LABEL) = struct
      the old root's info field. *)
   let help_snap (si : info) (s : snap) =
     ignore (Atomic.compare_and_set s.s_cell s.s_old s.s_new);
-    ignore (Atomic.compare_and_set s.s_old.hroot.iinfo si (fresh_unflag ()))
+    ignore
+      (Atomic.compare_and_set (node_info s.s_old.hroot) si (fresh_unflag ()))
 
   let rec help (fi : info) : bool =
     match fi with
@@ -515,14 +531,16 @@ module Make (L : LABEL) = struct
         (* Line 95: flag the leaf removed by a general-case replace;
            leaves are flagged by a plain write, never by CAS, and never
            unflagged. *)
-        (match f.rmv_leaf with Some l -> Atomic.set l.linfo fi | None -> ());
+        (match f.rmv_leaf with Some l -> Atomic.set (node_info l) fi | None -> ());
         child_cas_phase f;
         (* Lines 99-102: unflag, in reverse order, the nodes still in
            the trie. *)
         chaos_point Chaos.Unflag;
         for i = Array.length f.unflag_nodes - 1 downto 0 do
           ignore
-            (Atomic.compare_and_set f.unflag_nodes.(i).iinfo fi (fresh_unflag ()))
+            (Atomic.compare_and_set
+               (node_info f.unflag_nodes.(i))
+               fi (fresh_unflag ()))
         done;
         true
     | Abort ->
@@ -533,7 +551,9 @@ module Make (L : LABEL) = struct
         Obs.Attribution.mark Obs.Attribution.Backtrack ~attempt:0;
         for i = Array.length f.flag_nodes - 1 downto 0 do
           ignore
-            (Atomic.compare_and_set f.flag_nodes.(i).iinfo fi (fresh_unflag ()))
+            (Atomic.compare_and_set
+               (node_info f.flag_nodes.(i))
+               fi (fresh_unflag ()))
         done;
         false
     | Pending -> assert false
@@ -573,7 +593,7 @@ module Make (L : LABEL) = struct
             one_cas_flag t ~fh ~flag_nodes:pnode ~old_infos:[| a_old |] ~pnode
               ~old_child ~new_child
           else None
-        else if L.compare a.label b.label <= 0 then
+        else if L.compare (node_label a) (node_label b) <= 0 then
           one_cas_flag t ~fh ~flag_nodes:[| a; b |] ~old_infos:[| a_old; b_old |]
             ~pnode ~old_child ~new_child
         else
@@ -606,7 +626,7 @@ module Make (L : LABEL) = struct
             let flags =
               (* Line 115: flag in a fixed total order to avoid livelock. *)
               List.sort
-                (fun ((a : internal), _) (b, _) -> L.compare a.label b.label)
+                (fun (a, _) (b, _) -> L.compare (node_label a) (node_label b))
                 flags
             in
             let unflag =
@@ -629,7 +649,6 @@ module Make (L : LABEL) = struct
                    decision = Atomic.make Pending;
                    fholder = fh;
                    fcell = t.holder;
-                   fctx = t.ctx;
                    fstats = t.stats;
                  }))
 
@@ -639,7 +658,7 @@ module Make (L : LABEL) = struct
      caller must retry, after helping the update recorded in [info] if
      any. *)
   and create_node t ~gen n1 n2 info =
-    let l1 = node_label t.ctx n1 and l2 = node_label t.ctx n2 in
+    let l1 = node_label n1 and l2 = node_label n2 in
     if L.is_prefix l1 l2 || L.is_prefix l2 l1 then begin
       (match info with
       | Some ((Flag _ | Snap _) as fi) -> ignore (help_other t fi)
@@ -648,14 +667,8 @@ module Make (L : LABEL) = struct
     end
     else
       let lcp = L.lcp l1 l2 in
-      let c0, c1 = if L.next_bit lcp l1 = 0 then (n1, n2) else (n2, n1) in
-      Some
-        {
-          label = lcp;
-          children = [| Atomic.make c0; Atomic.make c1 |];
-          iinfo = Atomic.make (fresh_unflag ());
-          gen;
-        }
+      if L.next_bit lcp l1 = 0 then Some (new_internal ~gen lcp n1 n2)
+      else Some (new_internal ~gen lcp n2 n1)
 
   (* ---------------------------------------------------------------- *)
   (* Node copying (lines 26 and 52).  The copy must be taken *after* the
@@ -663,21 +676,9 @@ module Make (L : LABEL) = struct
      guarantees the children did not change in between (Lemma 31), so
      the copy's children equal the original's at the child CAS. *)
 
-  let copy_internal ~gen i =
-    {
-      label = i.label;
-      children =
-        [|
-          Atomic.make (Atomic.get i.children.(0));
-          Atomic.make (Atomic.get i.children.(1));
-        |];
-      iinfo = Atomic.make (fresh_unflag ());
-      gen;
-    }
-
   let copy_node ~gen = function
-    | Leaf l -> Leaf (new_leaf l.key)
-    | Internal i -> Internal (copy_internal ~gen i)
+    | Leaf l -> new_leaf l.key
+    | Internal i -> new_internal ~gen i.label (Atomic.get i.c0) (Atomic.get i.c1)
 
   (* ---------------------------------------------------------------- *)
   (* Update-side search: publication and copy-on-descent renewal.
@@ -691,17 +692,18 @@ module Make (L : LABEL) = struct
      generation is either visible in a slot (and helped to completion
      before the snapshot returns) or already fully applied.
 
-     [search_renew] is [search] for updates: it additionally copies every
-     stale-generation internal node the path descends *through* into the
-     current generation ([renew_child]) before using it, so the nodes an
-     update flags-and-CASes-children-of always carry the live generation
-     stamp and frozen views behind past snapshots are never structurally
-     mutated.  (Terminal nodes that only get *marked* — e.g. an internal
-     node an insert replaces — may be stale: marking touches only the
-     info field, which frozen-view traversals ignore.)  A renewal is an
-     ordinary two-flag descriptor (the stale node is marked forever, the
-     parent's child pointer swings to the copy), so it validates like
-     any update and aborts if a snapshot intervenes. *)
+     [search_renew] is the search of lines 76-85 for updates: it also
+     copies every stale-generation internal node the path descends
+     *through* into the current generation ([renew_child]) before using
+     it, so the nodes an update flags-and-CASes-children-of always carry
+     the live generation stamp and frozen views behind past snapshots
+     are never structurally mutated.  (Terminal nodes that only get
+     *marked* — e.g. an internal node an insert replaces — may be stale:
+     marking touches only the info field, which frozen-view traversals
+     ignore.)  A renewal is an ordinary two-flag descriptor (the stale
+     node is marked forever, the parent's child pointer swings to the
+     copy), so it validates like any update and aborts if a snapshot
+     intervenes. *)
 
   let run_own t fi =
     let slot = my_slot t in
@@ -710,34 +712,35 @@ module Make (L : LABEL) = struct
     Atomic.set slot None;
     r
 
-  let renew_child t (h : holder) (p : internal) p_info c_boxed (i : internal) =
-    match Atomic.get i.iinfo with
+  let renew_child t (h : holder) p p_info c =
+    match Atomic.get (node_info c) with
     | (Flag _ | Snap _) as fi -> ignore (help_other t fi)
-    | Unflag _ as ii -> (
-        (* The copy is taken after [ii] was read; the flag CAS on [ii]
+    | Unflag _ as ci -> (
+        (* The copy is taken after [ci] was read; the flag CAS on [ci]
            then certifies the children did not change in between (the
            same Lemma 31 discipline as an insert replacing an internal
            node). *)
-        let copy = Internal (copy_internal ~gen:h.hgen i) in
+        let copy = copy_node ~gen:h.epoch c in
         match
-          new_flag2 t ~fh:h ~a:p ~a_old:p_info ~b:i ~b_old:ii ~old_child:c_boxed
+          new_flag2 t ~fh:h ~a:p ~a_old:p_info ~b:c ~b_old:ci ~old_child:c
             ~new_child:copy
         with
         | Some fi -> ignore (run_own t fi)
         | None -> ())
 
   (* [None] means the descent hit a stale node and (at most) renewed it:
-     the caller restarts the attempt from a fresh holder read. *)
+     the caller restarts the attempt from a fresh holder read.  The
+     root's label is a prefix of every key, so the loop body runs at
+     least once and [p] is always an internal node on return. *)
   let search_renew t (h : holder) v =
-    let ctx = t.ctx in
-    let rec go gp gp_info (p : internal) p_boxed p_info d =
-      let node = Atomic.get p.children.(L.next_bit_of_key ctx p.label v) in
+    let rec go gp gp_info p p_label p_info d =
+      let node = Atomic.get (child_cell p (L.next_bit_of_key p_label v)) in
       match node with
-      | Internal i when L.is_prefix_of_key ctx i.label v ->
-          if i.gen == h.hgen then
-            go (Some p) (Some p_info) i node (Atomic.get i.iinfo) (d + 1)
+      | Internal i when L.is_prefix_of_key i.label v ->
+          if i.gen = h.epoch then
+            go (Some p) (Some p_info) node i.label (Atomic.get i.iinfo) (d + 1)
           else begin
-            renew_child t h p p_info node i;
+            renew_child t h p p_info node;
             None
           end
       | _ ->
@@ -746,18 +749,10 @@ module Make (L : LABEL) = struct
             | Leaf l -> logically_removed (Atomic.get l.linfo)
             | Internal _ -> false
           in
-          Some
-            { gp; p; p_node = p_boxed; node; gp_info; p_info; rmvd; depth = d + 1 }
+          Some { gp; p; node; gp_info; p_info; rmvd; depth = d + 1 }
     in
-    go None None h.hroot (Internal h.hroot) (Atomic.get h.hroot.iinfo) 0
-
-  (* ---------------------------------------------------------------- *)
-  (* find (lines 72-75) *)
-
-  let member t v =
-    let r = search t v in
-    descent t.stats (fun s -> s.descent_find) r.depth;
-    key_in_trie r.node v r.rmvd
+    let root = h.hroot in
+    go None None root (node_label root) (Atomic.get (node_info root)) 0
 
   (* ---------------------------------------------------------------- *)
   (* Updates.  Each update is a loop of attempts (the paper's "while
@@ -783,7 +778,26 @@ module Make (L : LABEL) = struct
         Retry Obs.Attribution.Flag_cas_lost
     | None -> Retry cause
 
-  let sibling_index t (p : internal) v = 1 - L.next_bit_of_key t.ctx p.label v
+  let sibling_index p v = 1 - L.next_bit_of_key (node_label p) v
+
+  (* One insert attempt (lines 25-31) from its search [r] and the info
+     value read from [r.node]: the new internal node over a copy of
+     [r.node] and the new leaf ([None] to retry), then the descriptor
+     that swings [r.p]'s child to it. *)
+  let insert_node t h r v ~node_info_v =
+    create_node t ~gen:h.epoch (copy_node ~gen:h.epoch r.node) (new_leaf v)
+      (Some node_info_v)
+
+  let insert_flag t h r new_node ~node_info_v =
+    match r.node with
+    | Internal _ ->
+        (* Line 30: replacing an internal node permanently flags it,
+           since it leaves the trie. *)
+        new_flag2 t ~fh:h ~a:r.p ~a_old:r.p_info ~b:r.node ~b_old:node_info_v
+          ~old_child:r.node ~new_child:new_node
+    | Leaf _ ->
+        new_flag1 t ~fh:h ~node:r.p ~old:r.p_info ~old_child:r.node
+          ~new_child:new_node
 
   (* insert (lines 20-32) *)
   let insert_step t h v =
@@ -794,83 +808,65 @@ module Make (L : LABEL) = struct
         if key_in_trie r.node v r.rmvd then Noop "present"
         else
           let node_info_v = Atomic.get (node_info r.node) in
-          let node_copy = copy_node ~gen:h.hgen r.node in
-          match
-            create_node t ~gen:h.hgen node_copy (Leaf (new_leaf v))
-              (Some node_info_v)
-          with
+          match insert_node t h r v ~node_info_v with
           | None ->
               Retry
                 (if flagged node_info_v then Obs.Attribution.Flagged_ancestor
                  else Obs.Attribution.Conflict)
           | Some new_node ->
               apply t ~cause:(retry_cause2 r.p_info node_info_v)
-                (match r.node with
-                | Internal i ->
-                    (* Line 30: replacing an internal node permanently
-                       flags it, since it leaves the trie. *)
-                    new_flag2 t ~fh:h ~a:r.p ~a_old:r.p_info ~b:i
-                      ~b_old:node_info_v ~old_child:r.node
-                      ~new_child:(Internal new_node)
-                | Leaf _ ->
-                    new_flag1 t ~fh:h ~node:r.p ~old:r.p_info ~old_child:r.node
-                      ~new_child:(Internal new_node)))
+                (insert_flag t h r new_node ~node_info_v))
+
+  (* The descriptor of one delete attempt (lines 37-40) from its search
+     [r]; [None] to retry. *)
+  let delete_descriptor t h r v =
+    let node_sibling = Atomic.get (child_cell r.p (sibling_index r.p v)) in
+    match (r.gp, r.gp_info) with
+    | Some gp, Some gp_info ->
+        (* Line 40: flag gp, mark p (p leaves the trie), and swing gp's
+           child from p to node's sibling. *)
+        new_flag2 t ~fh:h ~a:gp ~a_old:gp_info ~b:r.p ~b_old:r.p_info
+          ~old_child:r.p ~new_child:node_sibling
+    | _ ->
+        (* gp = null can only be observed transiently: a real key's leaf
+           always has an internal proper ancestor besides the root (the
+           sentinel on its side shares that subtree).  Retry. *)
+        None
 
   (* delete (lines 33-41) *)
   let delete_step t h v =
     match search_renew t h v with
     | None -> Retry Obs.Attribution.Conflict
-    | Some r -> (
+    | Some r ->
         descent t.stats (fun s -> s.descent_delete) r.depth;
         if not (key_in_trie r.node v r.rmvd) then Noop "absent"
         else
-          let node_sibling = Atomic.get r.p.children.(sibling_index t r.p v) in
-          match (r.gp, r.gp_info) with
-          | Some gp, Some gp_info ->
-              (* Line 40: flag gp, mark p (p leaves the trie), and swing
-                 gp's child from p to node's sibling. *)
-              apply t ~cause:(retry_cause2 gp_info r.p_info)
-                (new_flag2 t ~fh:h ~a:gp ~a_old:gp_info ~b:r.p ~b_old:r.p_info
-                   ~old_child:r.p_node ~new_child:node_sibling)
-          | _ ->
-              (* gp = null can only be observed transiently: a real key's
-                 leaf always has an internal proper ancestor besides the
-                 root (the sentinel on its side shares that subtree).
-                 Retry. *)
-              Retry Obs.Attribution.Conflict)
+          let cause =
+            match r.gp_info with
+            | Some gp_info -> retry_cause2 gp_info r.p_info
+            | None -> Obs.Attribution.Conflict
+          in
+          apply t ~cause (delete_descriptor t h r v)
 
   (* replace (lines 42-71): the descriptor of one attempt (lines 49-70),
      from the searches for the removed key [vd] ([rd], which found it)
      and the added key [vi] ([ri], which did not), and the info value
      read from [ri.node]; [None] to retry. *)
   let replace_descriptor t h rd ri ~node_info_i vd vi =
-    let node_sibling_d = Atomic.get rd.p.children.(sibling_index t rd.p vd) in
+    let node_sibling_d = Atomic.get (child_cell rd.p (sibling_index rd.p vd)) in
     let node_d = rd.node and node_i = ri.node in
     let pd = rd.p and pi = ri.p in
-    let leaf_d = match node_d with Leaf l -> l | Internal _ -> assert false in
-    let same_node a b =
-      match (a, b) with
-      | Leaf x, Leaf y -> x == y
-      | Internal x, Internal y -> x == y
-      | _ -> false
-    in
-    let node_i_is ni (x : internal) =
-      match ni with Internal i -> i == x | Leaf _ -> false
-    in
-    let gen = h.hgen in
+    let gen = h.epoch in
     match (rd.gp, rd.gp_info) with
     | Some gpd, Some gpd_info
-      when (not (same_node node_i node_d))
-           && (not (node_i_is node_i pd))
-           && (not (node_i_is node_i gpd))
-           && not (pi == pd) -> (
+      when node_i != node_d && node_i != pd && node_i != gpd && pi != pd -> (
         (* General case (lines 51-57): insert vi at pi, then delete vd's
            leaf by swinging gp_d — two child CASes, linearized at the
            first; noded is flagged as the logically-removed leaf in
            between. *)
-        let copy_i = copy_node ~gen node_i in
         match
-          create_node t ~gen copy_i (Leaf (new_leaf vi)) (Some node_info_i)
+          create_node t ~gen (copy_node ~gen node_i) (new_leaf vi)
+            (Some node_info_i)
         with
         | None -> None
         | Some new_node_i ->
@@ -878,49 +874,44 @@ module Make (L : LABEL) = struct
             new_flag t ~fh:h
               ~flags:
                 (match node_i with
-                | Internal i -> flags @ [ (i, node_info_i) ]
+                | Internal _ -> flags @ [ (node_i, node_info_i) ]
                 | Leaf _ -> flags)
               ~unflag:[ gpd; pi ] ~pnodes:[ pi; gpd ]
-              ~old_children:[ node_i; rd.p_node ]
-              ~new_children:[ Internal new_node_i; node_sibling_d ]
-              ~rmv_leaf:(Some leaf_d))
-    | _ when same_node node_i node_d ->
+              ~old_children:[ node_i; pd ]
+              ~new_children:[ new_node_i; node_sibling_d ]
+              ~rmv_leaf:(Some node_d))
+    | _ when node_i == node_d ->
         (* Special case 1 (lines 58-59): both searches ended at vd's
            leaf; replace it by a fresh leaf containing vi. *)
         new_flag1 t ~fh:h ~node:pd ~old:rd.p_info ~old_child:node_i
-          ~new_child:(Leaf (new_leaf vi))
-    | Some gpd, Some gpd_info
-      when (node_i_is node_i pd && pi == gpd) || pi == pd -> (
+          ~new_child:(new_leaf vi)
+    | Some gpd, Some gpd_info when (node_i == pd && pi == gpd) || pi == pd -> (
         (* Special cases 2 and 3 (lines 60-64): the insertion point is pd
            itself (or shares it), and pd is removed by the deletion; one
            CAS replaces pd by a new node built from noded's sibling and
            the new leaf. *)
         let sib_info = Atomic.get (node_info node_sibling_d) in
-        match
-          create_node t ~gen node_sibling_d (Leaf (new_leaf vi)) (Some sib_info)
-        with
+        match create_node t ~gen node_sibling_d (new_leaf vi) (Some sib_info) with
         | None -> None
         | Some new_node_i ->
             new_flag2 t ~fh:h ~a:gpd ~a_old:gpd_info ~b:pd ~b_old:rd.p_info
-              ~old_child:rd.p_node ~new_child:(Internal new_node_i))
-    | Some gpd, Some gpd_info when node_i_is node_i gpd -> (
+              ~old_child:pd ~new_child:new_node_i)
+    | Some gpd, Some gpd_info when node_i == gpd -> (
         (* Special case 4 (lines 65-70): the insertion replaces gp_d,
            which the deletion also restructures; one CAS replaces gp_d by
            a new two-level node built from the two siblings and the new
            leaf. *)
-        let p_sibling_d = Atomic.get gpd.children.(sibling_index t gpd vd) in
+        let p_sibling_d = Atomic.get (child_cell gpd (sibling_index gpd vd)) in
         match create_node t ~gen node_sibling_d p_sibling_d None with
         | None -> None
         | Some new_child_i -> (
-            match
-              create_node t ~gen (Internal new_child_i) (Leaf (new_leaf vi)) None
-            with
+            match create_node t ~gen new_child_i (new_leaf vi) None with
             | None -> None
             | Some new_node_i ->
                 new_flag t ~fh:h
                   ~flags:[ (pi, ri.p_info); (gpd, gpd_info); (pd, rd.p_info) ]
                   ~unflag:[ pi ] ~pnodes:[ pi ] ~old_children:[ node_i ]
-                  ~new_children:[ Internal new_node_i ] ~rmv_leaf:None))
+                  ~new_children:[ new_node_i ] ~rmv_leaf:None))
     | _ -> None
 
   let replace_step t h vd vi =
@@ -999,15 +990,16 @@ module Make (L : LABEL) = struct
   (* ---------------------------------------------------------------- *)
   (* Traversals *)
 
-  (* In-order walk of the non-sentinel leaves under [root], entering
-     only the internal nodes whose label satisfies [enter].  Children are
-     visited in label order, so keys come out ascending.  With [live],
-     logically removed leaves are skipped: the live trie's walk is
-     weakly consistent like the Ctrie paper's snapshot-free iterator —
-     each leaf is observed when the walk reaches it, so the result is a
-     union of states the trie passed through, exact in quiescence.
-     Frozen views walk with [~live:false] (see [Snapshots]). *)
-  let fold_tree ctx ~live ~enter root ~init ~f =
+  (* Walk of the non-sentinel leaves under [root], entering only the
+     internal nodes whose label satisfies [enter].  Children are visited
+     in label order, so keys come out ascending, or descending with
+     [~descending:true].  With [live], logically removed leaves are
+     skipped: the live trie's walk is weakly consistent like the Ctrie
+     paper's snapshot-free iterator — each leaf is observed when the
+     walk reaches it, so the result is a union of states the trie
+     passed through, exact in quiescence.  Frozen views walk with
+     [~live:false] (see [Snapshots]). *)
+  let fold_tree ctx ~live ~descending ~enter root ~init ~f =
     let rec go acc = function
       | Leaf l ->
           if
@@ -1016,16 +1008,17 @@ module Make (L : LABEL) = struct
           then acc
           else f acc l.key
       | Internal i ->
-          if enter i.label then
-            go (go acc (Atomic.get i.children.(0))) (Atomic.get i.children.(1))
-          else acc
+          if not (enter i.label) then acc
+          else if descending then go (go acc (Atomic.get i.c1)) (Atomic.get i.c0)
+          else go (go acc (Atomic.get i.c0)) (Atomic.get i.c1)
     in
-    go init (Internal root)
+    go init root
 
   let everywhere _ = true
 
   let fold_leaves t ~init ~f =
-    fold_tree t.ctx ~live:true ~enter:everywhere (root t) ~init ~f
+    fold_tree t.ctx ~live:true ~descending:false ~enter:everywhere (root t)
+      ~init ~f
 
   let size t = fold_leaves t ~init:0 ~f:(fun acc _ -> acc + 1)
 
@@ -1070,27 +1063,27 @@ module Make (L : LABEL) = struct
      this structure; aborted attempts never set the mark), and such a
      leaf was present at the linearization point. *)
 
-  type view = { vctx : L.ctx; vepoch : int; vroot : internal }
+  type view = { vctx : L.ctx; vepoch : int; vroot : node }
 
   let snapshot t =
     let rec attempt () =
       let h = Atomic.get t.holder in
       let root = h.hroot in
-      match Atomic.get root.iinfo with
+      let root_info = node_info root in
+      match Atomic.get root_info with
       | (Flag _ | Snap _) as fi ->
           ignore (help fi);
           attempt ()
       | Unflag _ as ri ->
-          let gen' = ref () in
-          let root' = copy_internal ~gen:gen' root in
-          let h' = { epoch = h.epoch + 1; hgen = gen'; hroot = root' } in
+          let epoch = h.epoch + 1 in
+          let h' = { epoch; hroot = copy_node ~gen:epoch root } in
           let si = Snap { s_old = h; s_new = h'; s_cell = t.holder } in
-          if Atomic.compare_and_set root.iinfo ri si then begin
+          if Atomic.compare_and_set root_info ri si then begin
             (* If this holder CAS fails, a concurrent snapshot already
                superseded [h] — then [h] is frozen all the same and this
                call linearizes at that snapshot's swing. *)
             ignore (Atomic.compare_and_set t.holder h h');
-            ignore (Atomic.compare_and_set root.iinfo si (fresh_unflag ()));
+            ignore (Atomic.compare_and_set root_info si (fresh_unflag ()));
             List.iter
               (fun slot ->
                 match Atomic.get slot with
@@ -1110,7 +1103,8 @@ module Make (L : LABEL) = struct
     let epoch v = v.vepoch
 
     let fold v ~init ~f =
-      fold_tree v.vctx ~live:false ~enter:everywhere v.vroot ~init ~f
+      fold_tree v.vctx ~live:false ~descending:false ~enter:everywhere v.vroot
+        ~init ~f
 
     let size v = fold v ~init:0 ~f:(fun acc _ -> acc + 1)
 
@@ -1120,12 +1114,9 @@ module Make (L : LABEL) = struct
         | Leaf l ->
             if L.is_sentinel v.vctx l.key then tail () else Seq.Cons (l.key, tail)
         | Internal i ->
-            walk
-              (Atomic.get i.children.(0))
-              (fun () -> walk (Atomic.get i.children.(1)) tail ())
-              ()
+            walk (Atomic.get i.c0) (fun () -> walk (Atomic.get i.c1) tail ()) ()
       in
-      fun () -> walk (Internal v.vroot) (fun () -> Seq.Nil) ()
+      fun () -> walk v.vroot (fun () -> Seq.Nil) ()
   end
 
   (* ---------------------------------------------------------------- *)
@@ -1180,11 +1171,12 @@ module Make (L : LABEL) = struct
   (* Strict lexicographic order on bit strings — the order of an
      in-order walk — built from the label arithmetic alone. *)
   let lex_lt a b =
-    if L.is_prefix a b then L.length a < L.length b
+    if L.is_prefix a b then not (L.is_prefix b a)
     else (not (L.is_prefix b a)) && L.next_bit (L.lcp a b) a = 0
 
   let check_invariants t =
     let ctx = t.ctx in
+    let pp = L.pp ctx in
     let errors = ref [] in
     let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
     let last = ref None and lo = ref false and hi = ref false in
@@ -1195,64 +1187,62 @@ module Make (L : LABEL) = struct
       | Flag _ ->
           err "residual flag on reachable %s %a"
             (match node with Leaf _ -> "leaf" | Internal _ -> "internal")
-            L.pp (node_label ctx node));
+            pp (node_label node));
       match node with
       | Leaf l ->
-          let kl = L.leaf_label ctx l.key in
+          let kl = L.leaf_label l.key in
           if not (L.is_prefix lab kl) then
-            err "leaf %a not under its path label %a" L.pp kl L.pp lab;
+            err "leaf %a not under its path label %a" pp kl pp lab;
           (match !last with
           | Some prev when not (lex_lt prev kl) ->
-              err "leaf %a out of order (previous leaf %a)" L.pp kl L.pp prev
+              err "leaf %a out of order (previous leaf %a)" pp kl pp prev
           | _ -> ());
           last := Some kl;
           if L.key_equal l.key (L.sentinel_lo ctx) then lo := true;
           if L.key_equal l.key (L.sentinel_hi ctx) then hi := true
       | Internal i ->
           if not (L.is_prefix lab i.label) then
-            err "internal label %a does not extend path %a" L.pp i.label L.pp lab;
-          let c0 = Atomic.get i.children.(0) and c1 = Atomic.get i.children.(1) in
+            err "internal label %a does not extend path %a" pp i.label pp lab;
+          let c0 = Atomic.get i.c0 and c1 = Atomic.get i.c1 in
           let check_child dir c =
             let expect = L.extend i.label dir in
-            let cl = node_label ctx c in
+            let cl = node_label c in
             if not (L.is_prefix expect cl) then
-              err "child %d of %a has label %a (expected prefix %a)" dir L.pp
-                i.label L.pp cl L.pp expect;
-            if L.length cl <= L.length i.label then
-              err "child of %a has shorter label %a" L.pp i.label L.pp cl
+              err "child %d of %a has label %a (expected prefix %a)" dir pp
+                i.label pp cl pp expect;
+            if L.length ctx cl <= L.length ctx i.label then
+              err "child of %a has shorter label %a" pp i.label pp cl
           in
           check_child 0 c0;
           check_child 1 c1;
           go (L.extend i.label 0) c0;
           go (L.extend i.label 1) c1
     in
-    go L.empty (Internal (root t));
+    go (L.empty ctx) (root t);
     (* The two sentinels must always be in the trie (Lemma 62). *)
-    if not !lo then
-      err "missing sentinel %a" L.pp (L.leaf_label ctx (L.sentinel_lo ctx));
-    if not !hi then
-      err "missing sentinel %a" L.pp (L.leaf_label ctx (L.sentinel_hi ctx));
+    if not !lo then err "missing sentinel %a" pp (L.leaf_label (L.sentinel_lo ctx));
+    if not !hi then err "missing sentinel %a" pp (L.leaf_label (L.sentinel_hi ctx));
     match !errors with [] -> Ok () | es -> Error (String.concat "; " es)
 
   (* ---------------------------------------------------------------- *)
   (* Shape census (Obs.Shape): weakly-consistent walk like
-     [fold_leaves], exact in quiescence.  Per-node word estimates,
-     64-bit layout, before the label or key itself:
+     [fold_leaves], exact in quiescence.  Per-node words, 64-bit layout,
+     before the label or key itself:
 
-       internal:  Internal wrapper 2 + record 5 (incl. gen)
-                  + children array 3 + 2 child Atomics 4
-                  + iinfo Atomic 2 + Unflag wrapper/ref 4     = 20
-       leaf:      Leaf wrapper 2 + record 3 + linfo Atomic 2
-                  + Unflag wrapper/ref 4                      = 11
+       internal:  Internal block 6 (header, label, c0, c1, iinfo, gen)
+                  + 2 child Atomics 4 + iinfo Atomic 2 + Unflag 2   = 14
+       leaf:      Leaf block 3 (header, key, linfo)
+                  + linfo Atomic 2 + Unflag 2                       = 7
 
-     (an Atomic.t is a one-field record; Unflag carries a fresh ref),
-     plus [L.label_words] / [L.key_words].  Shared labels and keys (the
-     root's empty label, the sentinels) are charged once per node.
-     [measured_words] cross-checks the estimate with
-     [Obj.reachable_words] from the root, which also charges shared or
-     flag-retained blocks the estimate ignores. *)
-  let internal_words = 20
-  let leaf_words = 11
+     (an Atomic.t and an Unflag are one-field blocks), plus
+     [L.label_words] / [L.key_words], which are 0 for immediates.
+     Shared labels and keys (the root's empty label, the sentinels) are
+     charged once per node.  [measured_words] cross-checks the estimate
+     with [Obj.reachable_words] from the root, which also charges shared
+     or flag-retained blocks the estimate ignores; in quiescence the
+     two agree exactly. *)
+  let internal_words = 14
+  let leaf_words = 7
 
   let census ~structure t =
     let a = Obs.Shape.acc ~structure in
@@ -1266,13 +1256,14 @@ module Make (L : LABEL) = struct
           Obs.Shape.leaf a ~depth ~keys ~sentinel
             ~words:(leaf_words + L.key_words l.key)
       | Internal i ->
-          Obs.Shape.internal a ~depth ~prefix_len:(L.length i.label) ~children:2
+          Obs.Shape.internal a ~depth ~prefix_len:(L.length t.ctx i.label)
+            ~children:2
             ~words:(internal_words + L.label_words i.label);
-          go (depth + 1) (Atomic.get i.children.(0));
-          go (depth + 1) (Atomic.get i.children.(1))
+          go (depth + 1) (Atomic.get i.c0);
+          go (depth + 1) (Atomic.get i.c1)
     in
     let root = root t in
-    go 0 (Internal root);
+    go 0 root;
     let measured_words = Obj.reachable_words (Obj.repr root) in
     Some (Obs.Shape.finish ~measured_words a)
 
@@ -1287,44 +1278,31 @@ module Make (L : LABEL) = struct
 
     let help = help
 
-    (* Run one insert attempt up to and including descriptor creation,
-       but do not apply it.  Returns None if the attempt would have
-       restarted. *)
-    let prepare_insert t v =
+    (* The update-side search of one attempt, repeated past renewals of
+       stale nodes (each renewal or help makes progress). *)
+    let rec search t v =
       let h = Atomic.get t.holder in
-      let r = search t v in
+      match search_renew t h v with Some r -> (h, r) | None -> search t v
+
+    (* Run one insert attempt up to and including descriptor creation,
+       but do not apply it.  Returns None if the key is present or the
+       attempt would have restarted. *)
+    let prepare_insert t v =
+      let h, r = search t v in
       if key_in_trie r.node v r.rmvd then None
       else
         let node_info_v = Atomic.get (node_info r.node) in
-        let node_copy = copy_node ~gen:h.hgen r.node in
-        match
-          create_node t ~gen:h.hgen node_copy (Leaf (new_leaf v))
-            (Some node_info_v)
-        with
+        match insert_node t h r v ~node_info_v with
         | None -> None
-        | Some new_node ->
-            new_flag t ~fh:h
-              ~flags:
-                (match r.node with
-                | Internal i -> [ (r.p, r.p_info); (i, node_info_v) ]
-                | Leaf _ -> [ (r.p, r.p_info) ])
-              ~unflag:[ r.p ] ~pnodes:[ r.p ] ~old_children:[ r.node ]
-              ~new_children:[ Internal new_node ] ~rmv_leaf:None
+        | Some new_node -> insert_flag t h r new_node ~node_info_v
 
     (* Run one delete attempt up to descriptor creation without applying
        it.  Returns None if the key is absent or the attempt would have
        restarted. *)
     let prepare_delete t v =
-      let h = Atomic.get t.holder in
-      let r = search t v in
+      let h, r = search t v in
       if not (key_in_trie r.node v r.rmvd) then None
-      else
-        let node_sibling = Atomic.get r.p.children.(sibling_index t r.p v) in
-        match (r.gp, r.gp_info) with
-        | Some gp, Some gp_info ->
-            new_flag2 t ~fh:h ~a:gp ~a_old:gp_info ~b:r.p ~b_old:r.p_info
-              ~old_child:r.p_node ~new_child:node_sibling
-        | _ -> None
+      else delete_descriptor t h r v
 
     (* Perform only the flagging phase of a descriptor, simulating a
        process that dies between flagging and the child CAS. *)
@@ -1337,16 +1315,15 @@ module Make (L : LABEL) = struct
 
     (* Count of nodes currently flagged along the search path of [v]. *)
     let flags_on_path t v =
-      let ctx = t.ctx in
       let is_flag a = match Atomic.get a with Flag _ -> 1 | _ -> 0 in
       let rec go acc = function
         | Leaf l -> acc + is_flag l.linfo
-        | Internal i ->
+        | Internal i as n ->
             let acc = acc + is_flag i.iinfo in
-            if L.is_prefix_of_key ctx i.label v then
-              go acc (Atomic.get i.children.(L.next_bit_of_key ctx i.label v))
+            if L.is_prefix_of_key i.label v then
+              go acc (Atomic.get (child_cell n (L.next_bit_of_key i.label v)))
             else acc
       in
-      go 0 (Internal (root t))
+      go 0 (root t)
   end
 end

@@ -17,17 +17,17 @@ module Bitstr_label = struct
   type label = B.t
   type ctx = unit
 
-  let leaf_label () k = k
-  let next_bit_of_key () l k = B.next_bit l k
-  let is_prefix_of_key () l k = B.is_proper_prefix l k
+  let leaf_label k = k
+  let next_bit_of_key = B.next_bit
+  let is_prefix_of_key = B.is_proper_prefix
   let next_bit = B.next_bit
   let lcp = B.lcp
   let is_prefix = B.is_prefix
   let compare = B.compare
   let extend = B.extend
-  let length = B.length
-  let empty = B.empty
-  let pp = B.pp
+  let length () = B.length
+  let empty () = B.empty
+  let pp () = B.pp
   let sentinel_lo () = B.sentinel_lo
   let sentinel_hi () = B.sentinel_hi
   let is_sentinel () k = B.equal k B.sentinel_lo || B.equal k B.sentinel_hi

@@ -145,6 +145,23 @@ and help (u : update) =
       | _ -> ())
   | _ -> ()
 
+(* The IFlag record of an insert of [k] at the leaf [r.l]: [r.l] is to
+   be replaced by a new internal node over a fresh copy of the old leaf
+   and a new leaf for [k].  The copy is the paper's [newSibling := new
+   Leaf(l.key)], and it is what rules out ABA on [p]'s child field: if
+   the old leaf box were reused, an insert followed by a delete of [k]
+   would put that same box back under [p], and a helper still holding
+   this record would then succeed in its late child CAS and reinstall a
+   stale (possibly marked) internal node. *)
+let insert_update r k =
+  let old_key = leaf_key r.l in
+  let new_leaf = Leaf k and new_sibling = Leaf old_key in
+  let inner =
+    if k < old_key then new_internal old_key new_leaf new_sibling
+    else new_internal k new_sibling new_leaf
+  in
+  { state = IFlag; info = I { ip = r.p; il = r.l; new_internal = Node inner } }
+
 let insert t k =
   if k < 0 || k >= t.inf1 then invalid_arg "Nbbst.insert: key out of universe";
   let rec attempt () =
@@ -155,17 +172,7 @@ let insert t k =
       attempt ()
     end
     else begin
-      let old_key = leaf_key r.l in
-      let new_leaf = Leaf k in
-      (* The old leaf node is reused as a child of the new internal node,
-         exactly as in the paper (no copy is needed: leaves are immutable
-         and the old leaf is not removed from the tree). *)
-      let inner =
-        if k < old_key then new_internal old_key new_leaf r.l
-        else new_internal k r.l new_leaf
-      in
-      let op = { ip = r.p; il = r.l; new_internal = Node inner } in
-      let u = { state = IFlag; info = I op } in
+      let u = insert_update r k in
       if Atomic.compare_and_set r.p.update r.pupdate u then begin
         help_insert_u u;
         true
@@ -254,3 +261,17 @@ let census _ = None
 let descent_stats _ = None
 
 let snapshot _ = None
+
+(* Test-only access: build an insert's IFlag record without installing
+   it, and run a helper on it later, as a helper that read the record
+   and then stalled before its child CAS would. *)
+module For_testing = struct
+  type nonrec update = update
+
+  let prepare_insert t k =
+    let r = search t k in
+    if leaf_key r.l = k || r.pupdate.state <> Clean then None
+    else Some (insert_update r k)
+
+  let help = help
+end

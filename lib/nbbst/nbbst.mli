@@ -48,3 +48,18 @@ val snapshot : t -> Dset_intf.view option
 (** Always [None] — the explicit "unsupported" marker of the atomic
     snapshot capability; this baseline's weakly-consistent traversals
     cannot masquerade as a frozen linearizable view. *)
+
+(** Test-only access to the coordination machinery. *)
+module For_testing : sig
+  type update
+
+  val prepare_insert : t -> int -> update option
+  (** The IFlag record an insert of the key would install on the parent
+      of the leaf it reaches, built but not installed.  [None] if the key
+      is present or the parent is not clean. *)
+
+  val help : update -> unit
+  (** Run a helper on the record: the child CAS it names, then the
+      unflag CAS, both of which fail unless their expected values are
+      still in place. *)
+end

@@ -256,6 +256,32 @@ let test_bst_single_key_cycle () =
   Alcotest.(check int) "empty" 0 (Nbbst.size t);
   match Nbbst.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e
 
+let test_bst_stale_insert_help () =
+  (* A helper that read an insert's IFlag record and stalled before its
+     child CAS must not succeed once an insert and a delete of the same
+     key have restored the parent's child field.  That holds only if
+     every insert hangs a fresh copy of the old leaf under its new
+     internal node; reusing the old leaf box puts the very box the stale
+     record expects back in place, and the late CAS resurrects the
+     deleted key. *)
+  let t = Nbbst.create ~universe:100 () in
+  List.iter (fun k -> assert (Nbbst.insert t k)) [ 10; 50; 90 ];
+  let stale =
+    match Nbbst.For_testing.prepare_insert t 40 with
+    | Some u -> u
+    | None -> Alcotest.fail "prepare_insert 40 must build a record"
+  in
+  Alcotest.(check bool) "insert 40" true (Nbbst.insert t 40);
+  Alcotest.(check bool) "delete 40" true (Nbbst.delete t 40);
+  Nbbst.For_testing.help stale;
+  Alcotest.(check bool) "deleted key stays absent" false (Nbbst.member t 40);
+  Alcotest.(check (list int)) "contents" [ 10; 50; 90 ] (Nbbst.to_list t);
+  (match Nbbst.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "insert 40 again" true (Nbbst.insert t 40);
+  Alcotest.(check bool) "delete 40 again" true (Nbbst.delete t 40);
+  Alcotest.(check bool) "delete 50" true (Nbbst.delete t 50);
+  Alcotest.(check (list int)) "after" [ 10; 90 ] (Nbbst.to_list t)
+
 let () =
   Alcotest.run "baseline_edges"
     [
@@ -293,5 +319,6 @@ let () =
         [
           Alcotest.test_case "extreme keys" `Quick test_bst_extreme_keys;
           Alcotest.test_case "single-key cycles" `Quick test_bst_single_key_cycle;
+          Alcotest.test_case "stale insert help" `Quick test_bst_stale_insert_help;
         ] );
     ]

@@ -169,6 +169,87 @@ let test_string_sentinel_bounds () =
         Alcotest.failf "encoded %S = %d escapes (0, %d)" s k top)
     [ ""; "0"; "1"; "0000"; "1111"; "0101"; "1010" ]
 
+(* ------------------------------------------------------------------ *)
+(* Packed labels agree with Label on every operation *)
+
+(* One label pair's worth of agreement checks at [width]. *)
+let packed_agrees ~width (a : Label.t) (b : Label.t) =
+  let pa = Packed.of_label ~width a and pb = Packed.of_label ~width b in
+  let lbl = Alcotest.testable Label.pp Label.equal in
+  let ctx = Printf.sprintf "w%d %s/%s" width (Label.to_string a) (Label.to_string b) in
+  Alcotest.check lbl (ctx ^ " round trip") a (Packed.to_label ~width pa);
+  check_int (ctx ^ " length") a.len (Packed.length ~width pa);
+  check (ctx ^ " is_prefix") (Label.is_prefix a b) (Packed.is_prefix pa pb);
+  Alcotest.check lbl (ctx ^ " lcp") (Label.lcp a b)
+    (Packed.to_label ~width (Packed.lcp pa pb));
+  check (ctx ^ " compare") (Label.equal a b) (Packed.compare pa pb = 0);
+  if Label.is_proper_prefix a b then
+    check_int (ctx ^ " next_bit") (Label.next_bit a b) (Packed.next_bit pa pb);
+  if a.len < width then
+    List.iter
+      (fun bit ->
+        Alcotest.check lbl (ctx ^ " extend")
+          (Label.extend a bit)
+          (Packed.to_label ~width (Packed.extend pa bit)))
+      [ 0; 1 ]
+
+let key_agrees ~width (a : Label.t) k =
+  let pa = Packed.of_label ~width a in
+  let ctx = Printf.sprintf "w%d %s/%d" width (Label.to_string a) k in
+  check_int (ctx ^ " of_key") (Packed.of_label ~width (Label.of_key ~width k))
+    (Packed.of_key k);
+  let under = Label.is_prefix_of_key ~width a k in
+  check (ctx ^ " is_prefix_of_key") under (Packed.is_prefix_of_key pa k);
+  check (ctx ^ " lo/hi") under (Packed.lo pa <= k && k <= Packed.hi pa);
+  if a.len < width then
+    check_int (ctx ^ " next_bit_of_key")
+      (Label.next_bit_of_key ~width a k)
+      (Packed.next_bit_of_key pa k)
+
+let all_labels width =
+  List.concat_map
+    (fun len -> List.init (1 lsl len) (fun bits -> { Label.bits; len }))
+    (List.init (width + 1) Fun.id)
+
+let test_packed_exhaustive () =
+  for width = 1 to 5 do
+    let ls = all_labels width in
+    List.iter (fun a -> List.iter (fun b -> packed_agrees ~width a b) ls) ls;
+    List.iter
+      (fun a -> for k = 0 to (1 lsl width) - 1 do key_agrees ~width a k done)
+      ls
+  done
+
+let test_packed_width62 () =
+  (* The widest keys use the sign bit of a packed label: pairs sharing
+     long prefixes, the extreme keys and the empty label. *)
+  let width = 62 in
+  let rs = Random.State.make [| 62 |] in
+  let key () =
+    ((Random.State.bits rs lsl 32) lxor (Random.State.bits rs lsl 16)
+    lxor Random.State.bits rs)
+    land ((1 lsl width) - 1)
+  in
+  let extremes = [ 0; 1; 1 lsl 61; (1 lsl 62) - 2; (1 lsl 62) - 1 ] in
+  let label k len = Label.prefix (Label.of_key ~width k) len in
+  for _ = 1 to 2000 do
+    let k = key () in
+    let k' = k lxor (1 lsl Random.State.int rs width) in
+    let a = label k (Random.State.int rs (width + 1))
+    and b = label k' (Random.State.int rs (width + 1)) in
+    packed_agrees ~width a b;
+    packed_agrees ~width b a;
+    packed_agrees ~width Label.empty a;
+    List.iter (key_agrees ~width a) (k :: k' :: extremes);
+    List.iter (key_agrees ~width Label.empty) (k :: extremes)
+  done;
+  List.iter
+    (fun k ->
+      List.iter
+        (fun k' -> packed_agrees ~width (label k width) (label k' width))
+        extremes)
+    extremes
+
 let () =
   Alcotest.run "bitkey"
     [
@@ -187,6 +268,13 @@ let () =
           Alcotest.test_case "lcp" `Quick test_lcp;
           Alcotest.test_case "extend" `Quick test_extend;
           Alcotest.test_case "compare total order" `Quick test_compare_total;
+        ] );
+      ( "packed",
+        [
+          Alcotest.test_case "agree with Label, widths 1-5" `Quick
+            test_packed_exhaustive;
+          Alcotest.test_case "agree with Label, width 62" `Quick
+            test_packed_width62;
         ] );
       ( "properties",
         [

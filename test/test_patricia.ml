@@ -342,6 +342,73 @@ let test_no_stats_by_default () =
   let t = P.create ~universe:64 () in
   Alcotest.(check bool) "no stats" true (P.stats_snapshot t = None)
 
+let check_ok t =
+  match P.check_invariants t with Ok () -> () | Error e -> Alcotest.fail e
+
+let test_width62 () =
+  (* Width 62 is the widest trie, and its packed labels use the sign
+     bit: the root's empty label is [min_int] and every key with the
+     top bit set has a negative leaf label. *)
+  let t = P.create_width ~width:62 () in
+  let k1 = 1 and k2 = 1 lsl 61 and k3 = (1 lsl 62) - 2 in
+  let range t lo hi = List.rev (P.fold_range t ~lo ~hi ~init:[] ~f:(fun a k -> k :: a)) in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "insert" true (P.insert t k);
+      check_ok t)
+    [ k3; k1; k2 ];
+  Alcotest.(check (list int)) "to_list" [ k1; k2; k3 ] (P.to_list t);
+  List.iter (fun k -> Alcotest.(check bool) "member" true (P.member t k)) [ k1; k2; k3 ];
+  Alcotest.(check bool) "absent" false (P.member t (k2 + 1));
+  Alcotest.(check (option int)) "min_elt" (Some k1) (P.min_elt t);
+  Alcotest.(check (option int)) "max_elt" (Some k3) (P.max_elt t);
+  Alcotest.(check (list int)) "range all" [ k1; k2; k3 ] (range t min_int max_int);
+  Alcotest.(check (list int)) "range upper half" [ k2; k3 ] (range t k2 k3);
+  Alcotest.(check (list int)) "range gap" [] (range t (k1 + 1) (k2 - 1));
+  let v = P.snapshot t in
+  Alcotest.(check bool) "replace" true (P.replace t ~remove:k2 ~add:(k2 - 1));
+  check_ok t;
+  Alcotest.(check bool) "delete" true (P.delete t k3);
+  check_ok t;
+  Alcotest.(check (list int)) "after updates" [ k1; k2 - 1 ] (P.to_list t);
+  Alcotest.(check (option int)) "max_elt after" (Some (k2 - 1)) (P.max_elt t);
+  Alcotest.(check (list int)) "view frozen" [ k1; k2; k3 ] (P.View.to_list v);
+  Alcotest.(check (list int))
+    "view range" [ k2; k3 ]
+    (List.rev (P.View.fold_range v ~lo:k2 ~hi:k3 ~init:[] ~f:(fun a k -> k :: a)));
+  Alcotest.(check bool) "replace across halves" true (P.replace t ~remove:k1 ~add:k3);
+  Alcotest.(check (list int)) "moved" [ k2 - 1; k3 ] (P.to_list t);
+  Alcotest.(check (option int)) "max_elt moved" (Some k3) (P.max_elt t);
+  Alcotest.(check bool) "delete last" true (P.delete t (k2 - 1) && P.delete t k3);
+  Alcotest.(check (option int)) "max_elt empty" None (P.max_elt t);
+  check_ok t
+
+(* Finds over a prefilled trie, counting hits; a loop that allocates
+   nothing itself. *)
+let count_hits t keys =
+  let hits = ref 0 in
+  for i = 0 to Array.length keys - 1 do
+    if P.member t keys.(i) then incr hits
+  done;
+  !hits
+
+let test_member_allocates_nothing () =
+  let t = P.create ~universe:65_536 () in
+  let rs = Random.State.make [| 2013 |] in
+  for _ = 1 to 20_000 do
+    ignore (P.insert t (Random.State.int rs 65_536))
+  done;
+  let keys = Array.init 10_000 (fun _ -> Random.State.int rs 65_536) in
+  let w0 = Gc.minor_words () in
+  let hits = count_hits t keys in
+  let w1 = Gc.minor_words () in
+  (* The same two readings around nothing: whatever the readings
+     themselves allocate. *)
+  let b0 = Gc.minor_words () in
+  let b1 = Gc.minor_words () in
+  Alcotest.(check bool) "some finds hit" true (hits > 0 && hits < 10_000);
+  Alcotest.(check (float 0.)) "minor words of 10 000 finds" (b1 -. b0) (w1 -. w0)
+
 let () =
   Alcotest.run "patricia"
     [
@@ -356,6 +423,9 @@ let () =
           Alcotest.test_case "replace cases" `Quick test_replace_cases;
           Alcotest.test_case "replace chain keeps one key" `Quick
             test_replace_is_total_move;
+          Alcotest.test_case "width 62" `Quick test_width62;
+          Alcotest.test_case "member allocates nothing" `Quick
+            test_member_allocates_nothing;
         ] );
       ( "properties",
         [ prop_model_equivalence; prop_size_consistent; prop_no_flags_when_quiescent ]

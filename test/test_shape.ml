@@ -65,7 +65,27 @@ let test_pat_census_empty () =
       Alcotest.(check int) "leaves" 2 c.Dset_intf.leaves;
       Alcotest.(check int) "internals" 1 c.Dset_intf.internals;
       Alcotest.(check int) "max depth" 1 c.Dset_intf.max_depth;
-      Alcotest.(check bool) "measured > 0" true (c.Dset_intf.measured_words > 0)
+      (* One internal node of 14 words and two leaves of 7: PAT's
+         labels and keys are immediates and a node is one block. *)
+      Alcotest.(check int) "est words" ((1 * 14) + (2 * 7)) c.Dset_intf.est_words;
+      Alcotest.(check int)
+        "measured words" ((1 * 14) + (2 * 7))
+        c.Dset_intf.measured_words
+
+let test_pat_census_three_keys () =
+  let t = P.create ~universe:1024 () in
+  List.iter (fun k -> assert (P.insert t k)) [ 3; 500; 1000 ];
+  assert (P.delete t 500 && P.insert t 700);
+  match P.census t with
+  | None -> Alcotest.fail "PAT census must be supported"
+  | Some c ->
+      Alcotest.(check int) "keys" 3 c.Dset_intf.keys;
+      Alcotest.(check int) "leaves" 5 c.Dset_intf.leaves;
+      Alcotest.(check int) "internals" 4 c.Dset_intf.internals;
+      Alcotest.(check int) "est words" ((4 * 14) + (5 * 7)) c.Dset_intf.est_words;
+      Alcotest.(check int)
+        "measured words" ((4 * 14) + (5 * 7))
+        c.Dset_intf.measured_words
 
 let test_pat_census_populated () =
   let universe = 4096 in
@@ -96,14 +116,10 @@ let test_pat_census_populated () =
         (Printf.sprintf "max depth %d <= width %d" c.Dset_intf.max_depth l)
         true
         (c.Dset_intf.max_depth <= l);
-      (* Layout accounting vs Obj.reachable_words: the PAT estimate is
-         word-exact up to the root wrapper, so allow 1%. *)
-      let est = float_of_int c.Dset_intf.est_words
-      and meas = float_of_int c.Dset_intf.measured_words in
-      Alcotest.(check bool)
-        (Printf.sprintf "estimate %.0f within 1%% of measured %.0f" est meas)
-        true
-        (Float.abs (est -. meas) /. meas < 0.01);
+      (* Layout accounting vs Obj.reachable_words: in quiescence every
+         reachable block is a node's own, so the estimate is exact. *)
+      Alcotest.(check int)
+        "estimate = measured" c.Dset_intf.measured_words c.Dset_intf.est_words;
       Alcotest.(check bool) "bytes/key > 0" true (c.Dset_intf.bytes_per_key > 0.)
 
 let test_vlk_census () =
@@ -298,6 +314,8 @@ let () =
         [
           Alcotest.test_case "dist exactness" `Quick test_dist_exact;
           Alcotest.test_case "PAT census empty" `Quick test_pat_census_empty;
+          Alcotest.test_case "PAT census three keys" `Quick
+            test_pat_census_three_keys;
           Alcotest.test_case "PAT census populated" `Quick
             test_pat_census_populated;
           Alcotest.test_case "PAT-VLK census" `Quick test_vlk_census;
