@@ -1,15 +1,21 @@
-(* patbench — full-control benchmark CLI for the Patricia-trie repro.
+(* patbench — the benchmark CLI for the Patricia-trie repro.
 
-   Where bench/main.exe regenerates every figure with one command and
-   environment-variable knobs, this tool exposes each experiment as a
-   subcommand with proper flags, adds the paper's mentioned-but-not-
-   plotted configurations, and adds our ablations:
+   One in-process driver regenerates every figure of the paper's
+   evaluation (Section V) and the CI regression gate's datapoints, and
+   exposes each further experiment as a subcommand with proper flags:
 
-     patbench figure --id 8 --threads 1,2,4 --seconds 2 --trials 4
+     patbench figure                     # Figures 8-11 + scan, all of it
+     patbench figure --id 8,9,10,11,scan --threads 1,2 --seconds 0.3 \
+                     --trials 2 --baseline-json bench_current.json
      patbench extra  --which medium-contention
      patbench custom --insert 20 --delete 20 --find 60 --range 1000 \
                      --clustered 50
-     patbench ablation --which replace|helping|width
+     patbench ablation --which replace|helping|width|seq|vlk|backoff
+     patbench scan | analyze | serve | load | recover | promote | replicate
+
+   Absolute numbers depend on the machine (the paper used a 128-thread
+   UltraSPARC T2+); what must reproduce is the *shape*: who scales, who
+   collapses under contention, and who wins on clustered keys.
 *)
 
 open Cmdliner
@@ -41,13 +47,25 @@ let metrics_arg =
   let doc =
     "Write a machine-readable metrics file (JSON): per data point latency \
      percentiles, PAT's contention counters, GC deltas, and raw throughput \
-     samples.  Same schema as bench/main.exe (see EXPERIMENTS.md, \
-     \"Observability\")."
+     samples (see EXPERIMENTS.md, \"Metrics JSON\")."
   in
   Arg.(
     value
     & opt (some string) None
     & info [ "metrics-json" ] ~doc ~docv:"PATH")
+
+let baseline_arg =
+  let doc =
+    "Write a compact throughput baseline (JSON): one {figure, structure, \
+     threads, mean_ops_s, stddev_ops_s} record per data point, the input of \
+     test/compare_bench.exe and of the committed BENCH_1.json (see \
+     EXPERIMENTS.md, \"Throughput regression gate\").  Unlike --metrics-json \
+     it does not instrument the run."
+  in
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "baseline-json" ] ~doc ~docv:"PATH")
 
 let backoff_arg =
   let doc =
@@ -138,13 +156,16 @@ let config ~seconds ~trials ~seed threads =
   Harness.
     { threads; seconds; trials; warmup_seconds = min 0.3 (seconds /. 2.0); seed }
 
-(* Metrics collection is per-invocation state: each subcommand's run
-   flips [collect_metrics] through [with_metrics], every [run_sweep]
-   appends its data points, and the file is written once at the end. *)
+(* Result files are per-invocation state: [with_results] resets the
+   accumulators, every measured data point appends to them, and each
+   requested file is written once at the end.  A data point's id (its
+   figure, e.g. "Figure 8 (top)") is the "figure" key in both files. *)
 let collect_metrics = ref false
 let metrics_acc : Obs.Json.t list ref = ref []
+let collect_baseline = ref false
+let baseline_acc : Obs.Json.t list ref = ref []
 
-let write_metrics ~threads_list ~seconds ~trials ~seed path =
+let write_results ~what ~threads_list ~seconds ~trials ~seed datapoints path =
   let open Obs.Json in
   let doc =
     Obj
@@ -162,33 +183,72 @@ let write_metrics ~threads_list ~seconds ~trials ~seed path =
               ("backoff", Bool (Chaos.Backoff.enabled ()));
               ("chaos_injection", Bool (Chaos.enabled ()));
             ] );
-        ("datapoints", Arr (List.rev !metrics_acc));
+        ("datapoints", Arr (List.rev datapoints));
       ]
   in
   match to_file path doc with
   | () ->
-      Format.printf "@.metrics written to %s (%d datapoints)@." path
-        (List.length !metrics_acc)
+      Format.printf "@.%s written to %s (%d datapoints)@." what path
+        (List.length datapoints)
   | exception Sys_error m ->
-      Format.eprintf "@.cannot write metrics file: %s@." m;
+      Format.eprintf "@.cannot write %s file: %s@." what m;
       exit 1
 
-let with_metrics ~threads_list ~seconds ~trials ~seed metrics f =
+let with_results ~threads_list ~seconds ~trials ~seed ~metrics ?baseline f =
   collect_metrics := metrics <> None;
   metrics_acc := [];
+  collect_baseline := baseline <> None;
+  baseline_acc := [];
   let r = f () in
-  Option.iter (write_metrics ~threads_list ~seconds ~trials ~seed) metrics;
+  let write what acc =
+    write_results ~what ~threads_list ~seconds ~trials ~seed !acc
+  in
+  Option.iter (write "metrics" metrics_acc) metrics;
+  Option.iter (write "baseline" baseline_acc) baseline;
   r
 
-let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~title subjects workload =
+let record_baseline ~id ~structure ~threads (dp : Harness.datapoint) =
+  if !collect_baseline then
+    baseline_acc :=
+      Obs.Json.Obj
+        [
+          ("figure", Obs.Json.Str id);
+          ("structure", Obs.Json.Str structure);
+          ("threads", Obs.Json.Int threads);
+          ("mean_ops_s", Obs.Json.Float dp.Harness.mean);
+          ("stddev_ops_s", Obs.Json.Float dp.Harness.stddev);
+        ]
+      :: !baseline_acc
+
+(* Metrics files and the live endpoint both want latency recording and
+   PAT's internal counters; a bare or baseline-only run stays
+   uninstrumented. *)
+let instrumented () = !collect_metrics || Harness.Live.enabled ()
+
+(* One data point of [subject], appended to the result files. *)
+let measure ~id ~seconds ~trials ~seed subject workload threads =
+  let full =
+    Harness.run_subject_full ~record_latency:(instrumented ()) subject
+      workload
+      (config ~seconds ~trials ~seed threads)
+  in
+  let label = subject.Harness.label in
+  if !collect_metrics then
+    metrics_acc :=
+      Harness.datapoint_full_to_json ~section:id ~label workload ~threads full
+      :: !metrics_acc;
+  record_baseline ~id ~structure:label ~threads full.Harness.dp;
+  full
+
+(* One sweep: every subject at every thread count, printed as a table
+   headed "[id]: [detail]".  Instrumented sweeps swap PAT for its
+   counter-enabled twin and add its mean-descent row. *)
+let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~id ?detail subjects
+    workload =
+  let title = match detail with None -> id | Some d -> id ^ ": " ^ d in
   Format.printf "@.=== %s ===@." title;
-  (* Metrics files and the live endpoint both want latency recording and
-     PAT's internal counters; the bare sweep stays uninstrumented. *)
-  let instrumented = !collect_metrics || Harness.Live.enabled () in
   let subjects =
-    (* With metrics on, swap PAT for its counter-enabled twin so the
-       "counters" object is populated. *)
-    if instrumented then
+    if instrumented () then
       List.map
         (fun s ->
           if s.Harness.label = Core.Patricia.name then Harness.pat_subject_stats
@@ -201,31 +261,160 @@ let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~title subjects workload
       (fun subject ->
         ( subject.Harness.label,
           List.map
-            (fun threads ->
-              let full =
-                Harness.run_subject_full ~record_latency:instrumented
-                  subject workload
-                  (config ~seconds ~trials ~seed threads)
-              in
-              if !collect_metrics then
-                metrics_acc :=
-                  Harness.datapoint_full_to_json ~section:title
-                    ~label:subject.Harness.label workload ~threads full
-                  :: !metrics_acc;
-              full.Harness.dp)
+            (measure ~id ~seconds ~trials ~seed subject workload)
             threads_list ))
       subjects
   in
-  Harness.pp_series Format.std_formatter ~title ~threads_list rows;
+  Harness.pp_series Format.std_formatter ~title ~threads_list
+    (List.map
+       (fun (label, fulls) ->
+         (label, List.map (fun f -> f.Harness.dp) fulls))
+       rows);
+  List.iter
+    (fun (label, fulls) ->
+      let descents =
+        List.map (fun f -> Harness.descent_mean f.Harness.counters) fulls
+      in
+      if List.exists Option.is_some descents then begin
+        Format.printf "%-8s" label;
+        List.iter
+          (function
+            | Some m -> Format.printf "%14.2f" m
+            | None -> Format.printf "%14s" "-")
+          descents;
+        Format.printf "  (mean descent, nodes/search)@."
+      end)
+    rows;
   if csv then
     List.iter
-      (fun (label, points) ->
+      (fun (label, fulls) ->
         List.iter2
-          (fun threads dp ->
-            Format.printf "csv,%s,%d,%.0f,%.0f@." label threads dp.Harness.mean
-              dp.Harness.stddev)
-          threads_list points)
+          (fun threads f ->
+            Format.printf "csv,%s,%d,%.0f,%.0f@." label threads
+              f.Harness.dp.Harness.mean f.Harness.dp.Harness.stddev)
+          threads_list fulls)
       rows;
+  Format.print_flush ()
+
+(* ------------------------------------------------------------------ *)
+(* Frozen views: what a snapshot, a scan and a scanner attached to the
+   write path cost.  Shared by the scan subcommand and the figure
+   driver's "scan" datapoints. *)
+
+(* A PAT prefilled with [universe/2] random insertions. *)
+let scan_prefilled ~universe seed =
+  let t = Core.Patricia.create ~universe () in
+  let rng = Rng.of_int_seed seed in
+  for _ = 1 to universe / 2 do
+    ignore (Core.Patricia.insert t (Rng.int rng universe) : bool)
+  done;
+  t
+
+(* One writer operation: insert, delete or replace, a third each. *)
+let scan_churn ~universe t rng =
+  let k = Rng.int rng universe in
+  match Rng.int rng 3 with
+  | 0 -> ignore (Core.Patricia.insert t k : bool)
+  | 1 -> ignore (Core.Patricia.delete t k : bool)
+  | _ ->
+      ignore
+        (Core.Patricia.replace t ~remove:k ~add:(Rng.int rng universe) : bool)
+
+(* One rate sample: run [step] (returning a unit count) on the main
+   domain for ~[seconds] with [bg] churning writer domains (seeded
+   [seed + 17 + i]) and, when [scanner], a domain folding whole frozen
+   views in a loop.  All side domains are stopped and joined before the
+   sample is returned, so trials don't bleed into each other. *)
+let scan_rate ~universe ~seconds ~seed ~bg ~scanner t step =
+  let stop = Atomic.make false in
+  let doms =
+    List.init bg (fun i ->
+        Domain.spawn (fun () ->
+            let rng = Rng.of_int_seed (seed + 17 + i) in
+            while not (Atomic.get stop) do
+              scan_churn ~universe t rng
+            done))
+    @
+    if not scanner then []
+    else
+      [
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              let v = Core.Patricia.snapshot t in
+              ignore
+                (Core.Patricia.View.fold v ~init:0 ~f:(fun n _ -> n + 1) : int)
+            done);
+      ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let deadline = t0 +. seconds in
+  let count = ref 0.0 in
+  while Unix.gettimeofday () < deadline do
+    count := !count +. step ()
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Atomic.set stop true;
+  List.iter Domain.join doms;
+  !count /. elapsed
+
+(* Steps: 64 snapshots; one writer operation from its own stream. *)
+let snapshot_step t () =
+  for _ = 1 to 64 do
+    ignore (Core.Patricia.snapshot t)
+  done;
+  64.0
+
+let writer_step ~universe ~seed t =
+  let rng = Rng.of_int_seed (seed + 5) in
+  fun () ->
+    scan_churn ~universe t rng;
+    1.0
+
+(* The figure driver's scan datapoints, one per thread count, each trial
+   on a fresh half-full trie of 2^16 keys with threads-1 churning
+   writers:
+     "Scan (snapshot)"  snapshot() calls/s (the O(1) claim);
+     "Scan (goodput)"   keys/s folded out of whole frozen views;
+     "Scan (writer)"    the measured domain's write ops/s with a
+                        continuous whole-view scanner attached (the
+                        copy-on-descent cost on the write path). *)
+let scan_figures ~threads_list ~seconds ~trials ~seed =
+  let universe = 65_536 in
+  let row label ~id ~prefill_seed ~scanner step =
+    ( label,
+      List.map
+        (fun threads ->
+          let dp =
+            Harness.mean_stddev
+              (List.init trials (fun _ ->
+                   let t = scan_prefilled ~universe prefill_seed in
+                   scan_rate ~universe ~seconds ~seed ~bg:(threads - 1)
+                     ~scanner t (step t)))
+          in
+          record_baseline ~id ~structure:Core.Patricia.name ~threads dp;
+          dp)
+        threads_list )
+  in
+  let goodput_step t () =
+    let v = Core.Patricia.snapshot t in
+    float_of_int (Core.Patricia.View.fold v ~init:0 ~f:(fun n _ -> n + 1))
+  in
+  let title =
+    Printf.sprintf
+      "Scan: PAT, key range (0, %d); snapshot calls/s, goodput keys/s, \
+       writer ops/s"
+      universe
+  in
+  Format.printf "@.=== %s ===@." title;
+  Harness.pp_series Format.std_formatter ~title ~threads_list
+    [
+      row "snapshot" ~id:"Scan (snapshot)" ~prefill_seed:seed ~scanner:false
+        snapshot_step;
+      row "goodput" ~id:"Scan (goodput)" ~prefill_seed:(seed + 1)
+        ~scanner:false goodput_step;
+      row "writer" ~id:"Scan (writer)" ~prefill_seed:(seed + 2) ~scanner:true
+        (writer_step ~universe ~seed);
+    ];
   Format.print_flush ()
 
 (* ------------------------------------------------------------------ *)
@@ -233,57 +422,72 @@ let run_sweep ~threads_list ~seconds ~trials ~seed ~csv ~title subjects workload
 
 let figure_cmd =
   let id_arg =
-    let doc = "Which figure to regenerate (8, 9, 10 or 11)." in
-    Arg.(required & opt (some int) None & info [ "id" ] ~doc)
+    let doc =
+      "Comma-separated figures to regenerate, drawn from 8, 9, 10, 11 and \
+       scan (the frozen-view datapoints); all of them by default."
+    in
+    let ids =
+      [ ("8", `F8); ("9", `F9); ("10", `F10); ("11", `F11); ("scan", `Scan) ]
+    in
+    Arg.(
+      value
+      & opt (list (enum ids)) (List.map snd ids)
+      & info [ "id" ] ~doc ~docv:"IDS")
   in
   let range_arg =
-    let doc = "Override the key range (defaults to the paper's)." in
+    let doc =
+      "Override the key range of figures 8-11 (defaults to the paper's: \
+       10^6, and 10^2 for Figure 9)."
+    in
     Arg.(value & opt (some int) None & info [ "range" ] ~doc)
   in
-  let run id range threads_list seconds trials seed csv metrics backoff
-      trace_out serve attribution =
+  let run ids range threads_list seconds trials seed csv metrics baseline
+      backoff trace_out serve attribution =
     set_backoff backoff;
     let sweep = run_sweep ~threads_list ~seconds ~trials ~seed ~csv in
+    let large = Option.value range ~default:1_000_000 in
+    let small = Option.value range ~default:100 in
     with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-    with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
-    match id with
-    | 8 ->
-        let universe = Option.value range ~default:1_000_000 in
-        sweep ~title:"Figure 8 (top): uniform i5-d5-f90" Harness.all_subjects
-          Harness.{ universe; mix = Mix.i5_d5_f90; dist = Uniform };
-        sweep ~title:"Figure 8 (bottom): uniform i50-d50-f0" Harness.all_subjects
-          Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform };
-        `Ok ()
-    | 9 ->
-        let universe = Option.value range ~default:100 in
-        sweep ~title:"Figure 9 (top): uniform i5-d5-f90, high contention"
-          Harness.all_subjects
-          Harness.{ universe; mix = Mix.i5_d5_f90; dist = Uniform };
-        sweep ~title:"Figure 9 (bottom): uniform i50-d50-f0, high contention"
-          Harness.all_subjects
-          Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform };
-        `Ok ()
-    | 10 ->
-        let universe = Option.value range ~default:1_000_000 in
-        sweep ~title:"Figure 10: PAT replace i10-d10-r80"
-          [ Harness.pat_subject ]
-          Harness.{ universe; mix = Mix.i10_d10_r80; dist = Uniform };
-        `Ok ()
-    | 11 ->
-        let universe = Option.value range ~default:1_000_000 in
-        sweep ~title:"Figure 11: non-uniform (runs of 50) i15-d15-f70"
-          Harness.all_subjects
-          Harness.{ universe; mix = Mix.i15_d15_f70; dist = Clustered 50 };
-        `Ok ()
-    | n -> `Error (false, Printf.sprintf "no figure %d in the paper's evaluation" n)
+    with_results ~threads_list ~seconds ~trials ~seed ~metrics ?baseline
+    @@ fun () ->
+    List.iter
+      (function
+        | `F8 ->
+            sweep ~id:"Figure 8 (top)" ~detail:"uniform i5-d5-f90"
+              Harness.all_subjects
+              Harness.{ universe = large; mix = Mix.i5_d5_f90; dist = Uniform };
+            sweep ~id:"Figure 8 (bottom)" ~detail:"uniform i50-d50-f0"
+              Harness.all_subjects
+              Harness.{ universe = large; mix = Mix.i50_d50_f0; dist = Uniform }
+        | `F9 ->
+            sweep ~id:"Figure 9 (top)"
+              ~detail:"uniform i5-d5-f90, high contention" Harness.all_subjects
+              Harness.{ universe = small; mix = Mix.i5_d5_f90; dist = Uniform };
+            sweep ~id:"Figure 9 (bottom)"
+              ~detail:"uniform i50-d50-f0, high contention" Harness.all_subjects
+              Harness.{ universe = small; mix = Mix.i50_d50_f0; dist = Uniform }
+        | `F10 ->
+            sweep ~id:"Figure 10" ~detail:"PAT replace i10-d10-r80"
+              [ Harness.pat_subject ]
+              Harness.{ universe = large; mix = Mix.i10_d10_r80; dist = Uniform }
+        | `F11 ->
+            sweep ~id:"Figure 11"
+              ~detail:"non-uniform (runs of 50) i15-d15-f70"
+              Harness.all_subjects
+              Harness.
+                { universe = large; mix = Mix.i15_d15_f70; dist = Clustered 50 }
+        | `Scan -> scan_figures ~threads_list ~seconds ~trials ~seed)
+      ids
   in
-  let doc = "Regenerate one of the paper's evaluation figures." in
+  let doc =
+    "Regenerate the paper's evaluation figures (and the regression gate's \
+     scan datapoints)."
+  in
   Cmd.v (Cmd.info "figure" ~doc)
     Term.(
-      ret
-        (const run $ id_arg $ range_arg $ threads_arg $ seconds_arg $ trials_arg
-       $ seed_arg $ csv_arg $ metrics_arg $ backoff_arg $ trace_out_arg
-       $ serve_arg $ attribution_arg))
+      const run $ id_arg $ range_arg $ threads_arg $ seconds_arg $ trials_arg
+      $ seed_arg $ csv_arg $ metrics_arg $ baseline_arg $ backoff_arg
+      $ trace_out_arg $ serve_arg $ attribution_arg)
 
 (* ------------------------------------------------------------------ *)
 (* extra subcommand: configurations the paper mentions without plotting *)
@@ -312,23 +516,23 @@ let extra_cmd =
     set_backoff backoff;
     let sweep = run_sweep ~threads_list ~seconds ~trials ~seed ~csv in
     with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-    with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
+    with_results ~threads_list ~seconds ~trials ~seed ~metrics @@ fun () ->
     match which with
     | `Medium ->
-        sweep ~title:"Extra: uniform i5-d5-f90, range 10^3 (medium contention)"
+        sweep ~id:"Extra: uniform i5-d5-f90, range 10^3 (medium contention)"
           Harness.all_subjects
           Harness.{ universe = 1_000; mix = Mix.i5_d5_f90; dist = Uniform };
-        sweep ~title:"Extra: uniform i50-d50-f0, range 10^3" Harness.all_subjects
+        sweep ~id:"Extra: uniform i50-d50-f0, range 10^3" Harness.all_subjects
           Harness.{ universe = 1_000; mix = Mix.i50_d50_f0; dist = Uniform }
     | `I15 ->
-        sweep ~title:"Extra: uniform i15-d15-f70, range 10^6" Harness.all_subjects
+        sweep ~id:"Extra: uniform i15-d15-f70, range 10^6" Harness.all_subjects
           Harness.
             { universe = 1_000_000; mix = Mix.i15_d15_f70; dist = Uniform }
     | `Runs ->
         List.iter
           (fun len ->
             sweep
-              ~title:
+              ~id:
                 (Printf.sprintf "Extra: non-uniform runs of %d, i15-d15-f70" len)
               Harness.all_subjects
               Harness.
@@ -360,7 +564,7 @@ let extra_cmd =
                 })
             [ 2; 4; 8; 16; 32 ]
         in
-        sweep ~title:"Extra: k-ary arity sweep, uniform i50-d50-f0, range 10^6"
+        sweep ~id:"Extra: k-ary arity sweep, uniform i50-d50-f0, range 10^6"
           subjects
           Harness.{ universe = 1_000_000; mix = Mix.i50_d50_f0; dist = Uniform }
   in
@@ -398,9 +602,9 @@ let custom_cmd =
           if replace > 0 then [ Harness.pat_subject ] else Harness.all_subjects
         in
         with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-        with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
+        with_results ~threads_list ~seconds ~trials ~seed ~metrics @@ fun () ->
         run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-          ~title:
+          ~id:
             (Printf.sprintf "Custom: %s, range (0, %d)%s" (Harness.Mix.to_string mix)
                range
                (match clustered with
@@ -451,100 +655,57 @@ let ablation_replace ~threads_list ~seconds ~trials ~seed ~csv =
       }
   in
   run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-    ~title:"Ablation: atomic replace vs delete+insert, i10-d10-r80, range 10^6"
+    ~id:"Ablation: atomic replace vs delete+insert, i10-d10-r80, range 10^6"
     [ Harness.pat_subject; composed_subject ]
     Harness.{ universe = 1_000_000; mix = Mix.i10_d10_r80; dist = Uniform }
 
 (* Help-rate: how often updates retry, abandon flagging, help each other
-   or back out as contention rises; uses the trie's internal counters. *)
+   or back out as contention rises; reads PAT's internal counters over
+   the timed windows of every trial. *)
 let ablation_helping ~threads_list ~seconds ~trials ~seed ~csv =
-  ignore csv;
-  let zero =
-    Core.Patricia.
-      {
-        attempts = 0;
-        helps_given = 0;
-        helps_received = 0;
-        flag_failures = 0;
-        backtracks = 0;
-        backoff_waits = 0;
-        descent_nodes_find = 0;
-        descent_nodes_insert = 0;
-        descent_nodes_delete = 0;
-        descent_nodes_replace = 0;
-        descent_searches = 0;
-      }
-  in
   Format.printf
     "@.=== Ablation: PAT coordination overhead vs contention (i50-d50-f0) ===@.";
   Format.printf "%-10s %8s %12s %12s %12s %12s %12s@." "range" "threads"
     "ops/s" "attempts/op" "flagfail/op" "helps/op" "backtrk/op";
+  let csv_rows = ref [] in
   List.iter
     (fun universe ->
       List.iter
         (fun threads ->
-          let t = ref None in
-          let baseline = ref zero in
-          let make_ops () =
-            let trie = Core.Patricia.create ~universe ~record_stats:true () in
-            t := Some trie;
-            Harness.
-              {
-                insert = Core.Patricia.insert trie;
-                delete = Core.Patricia.delete trie;
-                member = Core.Patricia.member trie;
-                replace = None;
-                stats = None;
-              }
+          let full =
+            measure
+              ~id:(Printf.sprintf "Ablation: helping, range (0, %d)" universe)
+              ~seconds ~trials ~seed Harness.pat_subject_stats
+              Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform }
+              threads
           in
-          (* Snapshot the counters after prefill and warm-up so the ratios
-             reflect only the timed window. *)
-          let before_timed () =
-            baseline :=
-              Option.value
-                (Option.bind !t Core.Patricia.stats_snapshot)
-                ~default:zero
+          let dp = full.Harness.dp in
+          let ops_total =
+            List.fold_left ( +. ) 0.0 dp.Harness.samples *. seconds
           in
-          let workload =
-            Harness.{ universe; mix = Mix.i50_d50_f0; dist = Uniform }
+          let per name =
+            float_of_int
+              (Option.value ~default:0
+                 (List.assoc_opt name full.Harness.counters))
+            /. ops_total
           in
-          let cfg = config ~seconds ~trials:1 ~seed threads in
-          let dp = Harness.run ~before_timed ~make_ops workload cfg in
-          let delta =
-            match Option.bind !t Core.Patricia.stats_snapshot with
-            | Some s ->
-                let b = !baseline in
-                Core.Patricia.
-                  {
-                    attempts = s.attempts - b.attempts;
-                    helps_given = s.helps_given - b.helps_given;
-                    helps_received = s.helps_received - b.helps_received;
-                    flag_failures = s.flag_failures - b.flag_failures;
-                    backtracks = s.backtracks - b.backtracks;
-                    backoff_waits = s.backoff_waits - b.backoff_waits;
-                    descent_nodes_find =
-                      s.descent_nodes_find - b.descent_nodes_find;
-                    descent_nodes_insert =
-                      s.descent_nodes_insert - b.descent_nodes_insert;
-                    descent_nodes_delete =
-                      s.descent_nodes_delete - b.descent_nodes_delete;
-                    descent_nodes_replace =
-                      s.descent_nodes_replace - b.descent_nodes_replace;
-                    descent_searches = s.descent_searches - b.descent_searches;
-                  }
-            | None -> zero
-          in
-          let ops_total = dp.Harness.mean *. seconds in
-          let per c = float_of_int c /. ops_total in
+          let attempts = per "attempts" and flagfail = per "flag_failures" in
+          let helps = per "helps_given" and backtracks = per "backtracks" in
           Format.printf "%-10d %8d %12.0f %12.3f %12.5f %12.5f %12.5f@."
-            universe threads dp.Harness.mean
-            (per delta.Core.Patricia.attempts)
-            (per delta.Core.Patricia.flag_failures)
-            (per delta.Core.Patricia.helps_given)
-            (per delta.Core.Patricia.backtracks))
+            universe threads dp.Harness.mean attempts flagfail helps
+            backtracks;
+          csv_rows :=
+            Printf.sprintf "csv,%d,%d,%.0f,%.0f,%.3f,%.5f,%.5f,%.5f" universe
+              threads dp.Harness.mean dp.Harness.stddev attempts flagfail helps
+              backtracks
+            :: !csv_rows)
         threads_list)
     [ 100; 10_000; 1_000_000 ];
-  ignore trials;
+  if csv then
+    List.iter (Format.printf "%s@.")
+      ("csv,range,threads,mean,stddev,attempts/op,flagfail/op,helps/op,\
+        backtrk/op"
+      :: List.rev !csv_rows);
   Format.print_flush ()
 
 (* Key-width sweep: same live key count, growing universe — longer keys
@@ -553,7 +714,7 @@ let ablation_width ~threads_list ~seconds ~trials ~seed ~csv =
   List.iter
     (fun universe ->
       run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-        ~title:
+        ~id:
           (Printf.sprintf "Ablation: PAT key-width, range (0, %d), i50-d50-f0"
              universe)
         [ Harness.pat_subject ]
@@ -583,7 +744,7 @@ let ablation_seq ~threads_list ~seconds ~trials ~seed ~csv =
   List.iter
     (fun universe ->
       run_sweep ~threads_list:[ 1 ] ~seconds ~trials ~seed ~csv
-        ~title:
+        ~id:
           (Printf.sprintf
              "Ablation: coordination cost, 1 thread, range (0, %d), i50-d50-f0"
              universe)
@@ -617,7 +778,7 @@ let ablation_vlk ~threads_list ~seconds ~trials ~seed ~csv =
       }
   in
   run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-    ~title:
+    ~id:
       (Printf.sprintf
          "Ablation: fixed-width vs unbounded keys, range (0, %d), i50-d50-f0"
          universe)
@@ -636,7 +797,7 @@ let ablation_backoff ~threads_list ~seconds ~trials ~seed ~csv =
         (fun backoff ->
           Chaos.Backoff.set_enabled backoff;
           run_sweep ~threads_list ~seconds ~trials ~seed ~csv
-            ~title:
+            ~id:
               (Printf.sprintf
                  "Ablation: backoff %s, range (0, %d), i50-d50-f0"
                  (if backoff then "on" else "off")
@@ -668,7 +829,7 @@ let ablation_cmd =
       serve attribution =
     set_backoff backoff;
     with_flight_recorder ~trace_out ~serve ~attribution @@ fun () ->
-    with_metrics ~threads_list ~seconds ~trials ~seed metrics @@ fun () ->
+    with_results ~threads_list ~seconds ~trials ~seed ~metrics @@ fun () ->
     match which with
     | `Replace -> ablation_replace ~threads_list ~seconds ~trials ~seed ~csv
     | `Helping -> ablation_helping ~threads_list ~seconds ~trials ~seed ~csv
@@ -1667,7 +1828,8 @@ let analyze_cmd =
       & info [ "probes" ]
           ~doc:
             "Single-thread member probes per structure for the descent/time \
-             micro-measure.")
+             micro-measure, split into 5 timed windows: ns/probe is the \
+             median window, reported with the min-max.")
   in
   let data_dir_arg =
     let doc =
@@ -1741,6 +1903,7 @@ let analyze_cmd =
         let vlk = Core.Patricia_vlk.create ~record_stats:true () in
         let kary = Kary.create ~universe:range ~record_stats:true () in
         let hex k = Printf.sprintf "%08x" k in
+        let windows = 5 in
         let subjects =
           [
             ( Core.Patricia.name,
@@ -1792,11 +1955,22 @@ let analyze_cmd =
               in
               let d0 = Option.value ~default:[] (dstats ()) in
               let rng = Rng.of_int_seed (seed + 1) in
-              let t0 = Obs.Clock.now_ns () in
-              for _ = 1 to probes do
-                ignore (member (Rng.int rng range))
-              done;
-              let elapsed = Obs.Clock.now_ns () - t0 in
+              (* The probe budget split into [windows] timed windows:
+                 the median window is the figure, min-max its spread. *)
+              let window_probes = max 1 (probes / windows) in
+              let window_ns =
+                List.init windows (fun _ ->
+                    let t0 = Obs.Clock.now_ns () in
+                    for _ = 1 to window_probes do
+                      ignore (member (Rng.int rng range))
+                    done;
+                    float_of_int (Obs.Clock.now_ns () - t0)
+                    /. float_of_int window_probes)
+                |> List.sort Float.compare
+              in
+              let ns_median = List.nth window_ns (windows / 2) in
+              let ns_min = List.hd window_ns in
+              let ns_max = List.nth window_ns (windows - 1) in
               let d1 = Option.value ~default:[] (dstats ()) in
               let nodes = delta d0 d1 "descent_nodes_find" in
               let searches = delta d0 d1 "descent_searches" in
@@ -1805,20 +1979,23 @@ let analyze_cmd =
                   float_of_int nodes /. float_of_int searches
                 else 0.0
               in
-              let ns_per_probe = float_of_int elapsed /. float_of_int probes in
               let c = census () in
               (match c with Some c -> pp_census c | None -> ());
               Format.printf
-                "%-8s %8.1f ns/probe  %.2f nodes/search (probe window)@.@."
-                label ns_per_probe probe_mean;
+                "%-8s %8.1f ns/probe (min %.1f, max %.1f over %d windows)  \
+                 %.2f nodes/search@.@."
+                label ns_median ns_min ns_max windows probe_mean;
               ( label,
                 c,
                 [
                   ( "descent",
                     Obs.Json.Obj
                       [
-                        ("probes", Obs.Json.Int probes);
-                        ("ns_per_probe", Obs.Json.Float ns_per_probe);
+                        ("probes", Obs.Json.Int (windows * window_probes));
+                        ("windows", Obs.Json.Int windows);
+                        ("ns_per_probe", Obs.Json.Float ns_median);
+                        ("ns_per_probe_min", Obs.Json.Float ns_min);
+                        ("ns_per_probe_max", Obs.Json.Float ns_max);
                         ("probe_mean_nodes", Obs.Json.Float probe_mean);
                         ( "depth",
                           match dsummary () with
@@ -2189,7 +2366,8 @@ let replicate_cmd =
    throughput with a continuous scanner attached (the copy-on-descent
    overhead on the write path).  In-process measurements of lib/core's
    snapshot machinery; the served SCAN path is exercised by
-   `load --scan-every` and the bench driver's "scan" section. *)
+   `load --scan-every`, and `figure --id scan` gates three of these
+   measurements against the committed baseline. *)
 
 let scan_cmd =
   let universe_arg =
@@ -2207,82 +2385,16 @@ let scan_cmd =
   let run universe widths writers seconds trials seed csv =
     if universe < 2 then `Error (false, "--universe must be at least 2")
     else if writers < 1 then `Error (false, "--writers must be at least 1")
+    else if trials < 1 then `Error (false, "--trials must be at least 1")
     else begin
-      let mean_stddev = function
-        | [] -> (0.0, 0.0)
-        | xs ->
-            let n = float_of_int (List.length xs) in
-            let mean = List.fold_left ( +. ) 0.0 xs /. n in
-            let var =
-              List.fold_left
-                (fun a x -> a +. ((x -. mean) *. (x -. mean)))
-                0.0 xs
-              /. n
-            in
-            (mean, sqrt var)
-      in
-      let prefilled () =
-        let t = Core.Patricia.create ~universe () in
-        let rng = Rng.of_int_seed seed in
-        for _ = 1 to universe / 2 do
-          ignore (Core.Patricia.insert t (Rng.int rng universe) : bool)
-        done;
-        t
-      in
-      let churn t rng =
-        let k = Rng.int rng universe in
-        match Rng.int rng 3 with
-        | 0 -> ignore (Core.Patricia.insert t k : bool)
-        | 1 -> ignore (Core.Patricia.delete t k : bool)
-        | _ ->
-            ignore
-              (Core.Patricia.replace t ~remove:k ~add:(Rng.int rng universe)
-                : bool)
-      in
-      (* One rate sample: run [step] (returning a unit count) on the
-         main domain for ~[seconds] with [bg] churning writer domains
-         and, when [scanner], a domain folding whole frozen views in a
-         loop.  All side domains are stopped and joined before the
-         sample is returned, so trials don't bleed into each other. *)
-      let rate ~bg ~scanner t step =
-        let stop = Atomic.make false in
-        let doms =
-          List.init bg (fun i ->
-              Domain.spawn (fun () ->
-                  let rng = Rng.of_int_seed (seed + 17 + i) in
-                  while not (Atomic.get stop) do
-                    churn t rng
-                  done))
-          @
-          if not scanner then []
-          else
-            [
-              Domain.spawn (fun () ->
-                  while not (Atomic.get stop) do
-                    let v = Core.Patricia.snapshot t in
-                    ignore
-                      (Core.Patricia.View.fold v ~init:0 ~f:(fun n _ -> n + 1)
-                        : int)
-                  done);
-            ]
-        in
-        let t0 = Unix.gettimeofday () in
-        let deadline = t0 +. seconds in
-        let count = ref 0.0 in
-        while Unix.gettimeofday () < deadline do
-          count := !count +. step ()
-        done;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        Atomic.set stop true;
-        List.iter Domain.join doms;
-        !count /. elapsed
-      in
+      let prefilled () = scan_prefilled ~universe seed in
       let samples ~bg ~scanner t step =
-        List.init trials (fun _ -> rate ~bg ~scanner t step)
+        List.init trials (fun _ ->
+            scan_rate ~universe ~seconds ~seed ~bg ~scanner t step)
       in
       let csv_rows = ref [] in
       let report name xs unit_ =
-        let mean, stddev = mean_stddev xs in
+        let { Harness.mean; stddev; _ } = Harness.mean_stddev xs in
         Printf.printf "  %-44s %14.1f ±%10.1f %s\n%!" name mean stddev unit_;
         csv_rows := (name, mean, stddev) :: !csv_rows
       in
@@ -2294,26 +2406,20 @@ let scan_cmd =
          half-full must land in the same ballpark; churn adds only the
          cost of resolving in-flight descriptors. *)
       Printf.printf "\nSnapshot cost (ns per snapshot):\n";
-      let snap_step t () =
-        for _ = 1 to 64 do
-          ignore (Core.Patricia.snapshot t)
-        done;
-        64.0
-      in
       let ns rates = List.map (fun r -> 1e9 /. r) rates in
       let empty = Core.Patricia.create ~universe () in
       report "empty trie, quiesced"
-        (ns (samples ~bg:0 ~scanner:false empty (snap_step empty)))
+        (ns (samples ~bg:0 ~scanner:false empty (snapshot_step empty)))
         "ns";
       let t = prefilled () in
       report
         (Printf.sprintf "%d keys, quiesced" (Core.Patricia.size t))
-        (ns (samples ~bg:0 ~scanner:false t (snap_step t)))
+        (ns (samples ~bg:0 ~scanner:false t (snapshot_step t)))
         "ns";
       report
         (Printf.sprintf "%d keys, %d writers churning" (Core.Patricia.size t)
            writers)
-        (ns (samples ~bg:writers ~scanner:false t (snap_step t)))
+        (ns (samples ~bg:writers ~scanner:false t (snapshot_step t)))
         "ns";
       (* 2. Goodput vs range width: each step freezes a fresh view and
          folds [0, width) out of it while the writers churn. *)
@@ -2336,12 +2442,7 @@ let scan_cmd =
          (plus --writers-1 background ones) with and without a
          continuous whole-view scanner attached. *)
       Printf.printf "\nWriter throughput (measured domain, ops/s):\n";
-      let writer_step t =
-        let rng = Rng.of_int_seed (seed + 5) in
-        fun () ->
-          churn t rng;
-          1.0
-      in
+      let writer_step = writer_step ~universe ~seed in
       let quiet =
         let t = prefilled () in
         samples ~bg:(writers - 1) ~scanner:false t (writer_step t)
@@ -2352,7 +2453,8 @@ let scan_cmd =
       in
       report "no scanner" quiet "ops/s";
       report "continuous scanner attached" scanned "ops/s";
-      let mq, _ = mean_stddev quiet and ms, _ = mean_stddev scanned in
+      let mq = (Harness.mean_stddev quiet).Harness.mean in
+      let ms = (Harness.mean_stddev scanned).Harness.mean in
       if mq > 0.0 then
         Printf.printf "  scanner overhead on the write path: %.1f%%\n"
           ((1.0 -. (ms /. mq)) *. 100.0);

@@ -159,8 +159,8 @@ module Backoff : sig
   val set_enabled : bool -> unit
   (** Toggle the trie's retry backoff globally (default [false], so the
       default benchmark configuration is byte-for-byte the paper's bare
-      retry loop).  The benchmark drivers expose this as
-      [patbench --backoff] / [REPRO_BACKOFF=1]. *)
+      retry loop).  The benchmark driver exposes this as
+      [patbench --backoff]. *)
 
   type t = int
 

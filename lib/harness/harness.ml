@@ -369,8 +369,8 @@ let counter_deltas before after =
 (* One prefill + warm-up + timed trial.  Returns the trial's metrics and
    the latency histogram (when [record_latency]) so callers can merge
    histograms across trials for whole-datapoint percentiles. *)
-let run_trial_full ?(before_timed = fun () -> ()) ?(record_latency = false)
-    ~make_ops workload config trial_idx =
+let run_trial_full ?(record_latency = false) ~make_ops workload config
+    trial_idx =
   let ops = make_ops () in
   (* Let a live scrape see this instance's internal counters.  Once per
      trial, not per operation, so no gating needed. *)
@@ -419,7 +419,6 @@ let run_trial_full ?(before_timed = fun () -> ()) ?(record_latency = false)
     float_of_int total /. elapsed
   in
   if config.warmup_seconds > 0.0 then ignore (run_phase config.warmup_seconds);
-  before_timed ();
   (* Latency, counters and GC are all measured over the timed window
      only: the histogram is created after warm-up and the cumulative
      counters are diffed around the phase. *)
@@ -437,10 +436,6 @@ let run_trial_full ?(before_timed = fun () -> ()) ?(record_latency = false)
     },
     hist )
 
-let run_trial ?before_timed ~make_ops workload config trial_idx =
-  let m, _ = run_trial_full ?before_timed ~make_ops workload config trial_idx in
-  m.ops_per_sec
-
 (** A whole data point with observability: the throughput statistics of
     [run] plus per-trial metrics, the latency summary of all trials'
     samples merged, and counter/GC totals across trials. *)
@@ -452,15 +447,14 @@ type datapoint_full = {
   gc : gc_delta;
 }
 
-let run_full ?before_timed ?(record_latency = false) ~make_ops workload config =
+let run_full ?(record_latency = false) ~make_ops workload config =
   let combined =
     if record_latency then Some (Obs.Histogram.create ()) else None
   in
   let trial_metrics =
     List.init config.trials (fun i ->
         let m, h =
-          run_trial_full ?before_timed ~record_latency ~make_ops workload config
-            i
+          run_trial_full ~record_latency ~make_ops workload config i
         in
         (match (combined, h) with
         | Some into, Some h -> Obs.Histogram.merge_into ~into h
@@ -493,8 +487,7 @@ let run_full ?before_timed ?(record_latency = false) ~make_ops workload config =
     gc;
   }
 
-let run ?before_timed ~make_ops workload config =
-  (run_full ?before_timed ~make_ops workload config).dp
+let run ~make_ops workload config = (run_full ~make_ops workload config).dp
 
 (* ------------------------------------------------------------------ *)
 (* The six structures of the paper's evaluation, packaged uniformly. *)

@@ -133,32 +133,7 @@ val prefill : ops -> int -> Rng.t -> unit
     steady state of the paper's i50-d50 prefill; randomizing the order
     matters — a sorted sweep would degenerate the unbalanced trees). *)
 
-val run_trial :
-  ?before_timed:(unit -> unit) ->
-  make_ops:(unit -> ops) ->
-  workload ->
-  config ->
-  int ->
-  float
-(** One prefill + warm-up + timed trial; returns ops/second.
-    [before_timed] runs after warm-up (used to snapshot ablation
-    counters). *)
-
-val run_trial_full :
-  ?before_timed:(unit -> unit) ->
-  ?record_latency:bool ->
-  make_ops:(unit -> ops) ->
-  workload ->
-  config ->
-  int ->
-  trial_metrics * Obs.Histogram.t option
-(** Like {!run_trial} but also measuring the timed window: per-operation
-    latency (when [record_latency], default [false]), counter deltas via
-    [ops.stats], and [Gc.quick_stat] deltas.  The returned histogram is
-    the trial's raw latency data, for merging across trials. *)
-
 val run :
-  ?before_timed:(unit -> unit) ->
   make_ops:(unit -> ops) ->
   workload ->
   config ->
@@ -176,13 +151,16 @@ type datapoint_full = {
 }
 
 val run_full :
-  ?before_timed:(unit -> unit) ->
   ?record_latency:bool ->
   make_ops:(unit -> ops) ->
   workload ->
   config ->
   datapoint_full
-(** [config.trials] independent trials with full metrics collection. *)
+(** [config.trials] independent trials with full metrics collection.
+    Each trial prefills a fresh structure, warms up, then measures the
+    timed window only: throughput, per-operation latency (when
+    [record_latency], default [false]), counter deltas via [ops.stats],
+    and [Gc.quick_stat] deltas. *)
 
 (** One of the six structures of the paper's evaluation. *)
 type subject = { label : string; make : universe:int -> ops }

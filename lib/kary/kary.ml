@@ -20,7 +20,10 @@
 
    As in the BST, the per-internal-node [update] field holds a
    (state, info) record CASed by physical identity; fresh records per
-   write rule out ABA. *)
+   write rule out ABA.  Unflagging installs a fresh Clean record with no
+   [info]: nothing reads a Clean record's [info], and keeping the
+   finished descriptor there would keep the leaf or subtree it retired
+   reachable from the live tree. *)
 
 let k = 4
 (* [k] is the default arity (the paper's 4-ST); [create_k] builds trees of
@@ -35,7 +38,10 @@ and internal = {
   update : update Atomic.t;
 }
 
-and update = { state : state; info : info }
+(* [info] is never assigned; it is [mutable] only so that the compiler
+   cannot share a constant [{ state = Clean; info = No_info }] as one
+   static block — every unflag must install a physically fresh record. *)
+and update = { state : state; mutable info : info }
 
 and state = Clean | IFlag | DFlag | Mark
 
@@ -100,7 +106,8 @@ let create_k ~k:arity ?(record_stats = false) ~universe () =
   (* Sentinel routing keys >= universe push every real key into child 0;
      the root is never replaced. *)
   let keys = Array.init (arity - 1) (fun i -> universe + i) in
-  let children = Array.init arity (fun _ -> Leaf [||]) in
+  (* [Leaf [||]] would be one static block shared by every slot. *)
+  let children = Array.init arity (fun _ -> Leaf (Array.make 0 0)) in
   {
     root = new_internal keys children;
     universe;
@@ -200,14 +207,12 @@ let help_insert_u (u : update) =
   match u.info with
   | I op ->
       ignore (Atomic.compare_and_set op.ip.children.(op.islot) op.il op.inew);
-      ignore
-        (Atomic.compare_and_set op.ip.update u { state = Clean; info = I op })
+      ignore (Atomic.compare_and_set op.ip.update u (clean ()))
   | _ -> assert false
 
 let help_marked (u_dflag : update) (op : dinfo) =
   ignore (Atomic.compare_and_set op.dgp.children.(op.dslot) op.dp_node op.dnew);
-  ignore
-    (Atomic.compare_and_set op.dgp.update u_dflag { state = Clean; info = D op })
+  ignore (Atomic.compare_and_set op.dgp.update u_dflag (clean ()))
 
 let rec help_delete (u_dflag : update) (op : dinfo) =
   ignore
@@ -219,9 +224,7 @@ let rec help_delete (u_dflag : update) (op : dinfo) =
       true
   | _ ->
       help result;
-      ignore
-        (Atomic.compare_and_set op.dgp.update u_dflag
-           { state = Clean; info = D op });
+      ignore (Atomic.compare_and_set op.dgp.update u_dflag (clean ()));
       false
 
 and help (u : update) =
@@ -406,12 +409,22 @@ let check_invariants t =
    3 fields, routing-key array [arity] (k-1 elems + header), children
    array [arity + 1], one 2-word Atomic box per child, update Atomic 2,
    Clean update record 3 — [12 + 4*arity] total.  A leaf of [n] keys:
-   [Leaf] wrapper 2 + int array [n + 1]. *)
+   [Leaf] wrapper 2 + int array [n + 1], except that every empty leaf
+   shares the runtime's one empty-array atom, charged to the first only.
+   In quiescence the estimate equals [Obj.reachable_words] exactly. *)
 let internal_words arity = 12 + (4 * arity)
-let leaf_words n = n + 3
 
 let census t =
   let a = Obs.Shape.acc ~structure:name in
+  let empty_seen = ref false in
+  let leaf_words n =
+    if n > 0 then n + 3
+    else if !empty_seen then 2
+    else begin
+      empty_seen := true;
+      3
+    end
+  in
   (* Routing keys carry no key-prefix; internals enter the prefix-length
      distribution as 0-bit labels. *)
   let rec go depth node =
@@ -426,7 +439,8 @@ let census t =
         Array.iter (fun c -> go (depth + 1) (Atomic.get c)) i.children
   in
   go 0 (Node t.root);
-  let measured_words = Obj.reachable_words (Obj.repr t.root) in
+  (* Measured from a [Node] box too, as the walk charges the root one. *)
+  let measured_words = Obj.reachable_words (Obj.repr (Node t.root)) in
   Some (Obs.Shape.finish ~measured_words a)
 
 let descent_stats t =

@@ -1,4 +1,4 @@
-(* Compare two benchmark baseline files (bench/main.exe --baseline-json)
+(* Compare two benchmark baseline files (patbench figure --baseline-json)
    and fail on throughput regressions.
 
    CI runners differ in absolute speed from whatever machine wrote the
@@ -9,8 +9,14 @@
    relative to the rest of the suite, which machine speed cannot
    explain.
 
+   Every baseline datapoint must have a counterpart in the current file:
+   a missing one (a renamed figure key, a dropped section) would
+   otherwise shrink the gate unnoticed.  Current datapoints absent from
+   the baseline are noted and skipped.
+
    Usage: compare_bench BASELINE.json CURRENT.json [--threshold 0.6]
-   Exit codes: 0 ok, 1 regression found, 2 usage or malformed input. *)
+   Exit codes: 0 ok, 1 regression found, 2 usage, malformed input or
+   baseline datapoints missing from the current file. *)
 
 module J = Obs.Json
 
@@ -80,8 +86,19 @@ let () =
     | _ -> die "usage: compare_bench BASELINE.json CURRENT.json [--threshold R]"
   in
   let baseline = load baseline_path and current = load current_path in
-  let base_tbl = Hashtbl.create 64 in
+  let base_tbl = Hashtbl.create 64 and cur_tbl = Hashtbl.create 64 in
   List.iter (fun p -> Hashtbl.replace base_tbl (point_key p) p) baseline;
+  List.iter (fun p -> Hashtbl.replace cur_tbl (point_key p) ()) current;
+  (match
+     List.filter (fun p -> not (Hashtbl.mem cur_tbl (point_key p))) baseline
+   with
+  | [] -> ()
+  | missing ->
+      List.iter
+        (fun p -> prerr_endline ("missing from current: " ^ point_key p))
+        missing;
+      die "%s: %d baseline datapoint(s) missing" current_path
+        (List.length missing));
   let pairs =
     List.filter_map
       (fun cur ->

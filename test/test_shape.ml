@@ -145,11 +145,19 @@ let test_kary_census () =
   for _ = 1 to 1000 do
     ignore (Kary.insert t (Rng.int rng universe))
   done;
+  (* Deletes too, so pruned subtrees and their descriptors are retired. *)
+  for _ = 1 to 500 do
+    ignore (Kary.delete t (Rng.int rng universe))
+  done;
   match Kary.census t with
   | None -> Alcotest.fail "4-ST census must be supported"
   | Some c ->
       Alcotest.(check int) "keys = size" (Kary.size t) c.Dset_intf.keys;
       Alcotest.(check int) "no sentinels" 0 c.Dset_intf.sentinels;
+      (* In quiescence nothing retired stays reachable: unflagged update
+         records hold no descriptor, so the estimate is exact. *)
+      Alcotest.(check int)
+        "estimate = measured" c.Dset_intf.measured_words c.Dset_intf.est_words;
       (* Leaves hold at most k-1 keys; internals have exactly k children. *)
       Alcotest.(check bool)
         "keys/leaf <= k-1" true
